@@ -14,9 +14,9 @@ import (
 // delta must be byte-identical — latency, final placement, issue
 // order, full stats and serialized trace — to a cold Run of the
 // perturbed placement. Exercised on three circuits × both paper
-// fabrics × forward and backward (forced-order) runs; -short (the
-// -race CI lane) subsamples qubits and boundaries but still crosses
-// every case.
+// fabrics, plus one circuit on a generated grid with ALT routing, ×
+// forward and backward (forced-order) runs; -short (the -race CI
+// lane) subsamples qubits and boundaries but still crosses every case.
 
 func forkPropertyCases(t *testing.T) []struct {
 	name string
@@ -40,6 +40,13 @@ func forkPropertyCases(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A generated grid large enough for ALT routing, where
+	// NearestTrap's row walk leaves most traps unprobed, so a fork's
+	// frontier depends on which traps the walk did probe.
+	grid, _, err := fabric.Resolve("grid(rows=97,cols=97,pitch=4)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name string
 		g    *qidg.Graph
@@ -51,6 +58,7 @@ func forkPropertyCases(t *testing.T) []struct {
 		{"[[5,1,3]]synth/quale45x85", g513s, fabric.Quale4585()},
 		{"[[7,1,3]]/small", g713, fabric.Small()},
 		{"[[7,1,3]]/quale45x85", g713, fabric.Quale4585()},
+		{"[[7,1,3]]/grid97", g713, grid},
 	}
 }
 

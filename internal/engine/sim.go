@@ -353,6 +353,13 @@ func (s *Sim) resetRouteGraph() error {
 func (s *Sim) bindFuncs() {
 	if s.fire == nil {
 		s.fire = s.dispatch
+		// fabric.NearestTrap calls fitsFn only on traps whose
+		// (distance, ID) beats the best fitting trap found so far, so
+		// a recorded run notes load reads on those traps alone. That
+		// is sound for forks: a trap that is never probed is beaten by
+		// the probed winner, so whatever its load, it cannot change
+		// the answer — and while every probed trap answers as before,
+		// the walk probes the same traps and returns the same winner.
 		s.fitsFn = func(t int) bool {
 			// Unreachable traps fail before the load is consulted: the
 			// outcome is load-independent there, so recorded runs need

@@ -206,6 +206,9 @@ func (f *Fabric) Validate() error {
 		if tr.ID != i || f.At(tr.Pos) != Trap {
 			return fmt.Errorf("fabric: trap %d inconsistent", i)
 		}
+		if i > 0 && !rowMajorLess(f.Traps[i-1].Pos, tr.Pos) {
+			return fmt.Errorf("fabric: trap %d at (%d,%d) breaks row-major numbering", i, tr.Pos.Row, tr.Pos.Col)
+		}
 		if tr.Channel < 0 || tr.Channel >= len(f.Channels) {
 			return fmt.Errorf("fabric: trap %d channel out of range", i)
 		}

@@ -121,7 +121,10 @@ type Fabric struct {
 
 	Junctions []JunctionInfo
 	Channels  []ChannelInfo
-	Traps     []TrapInfo
+	// Traps is indexed by trap ID and numbered in row-major cell
+	// order (by row, then column), which NearestTrap's per-row binary
+	// search relies on; Validate checks it.
+	Traps []TrapInfo
 
 	junctionAt map[Pos]int
 	trapAt     map[Pos]int
@@ -164,58 +167,120 @@ func (f *Fabric) ChannelAt(p Pos) int {
 func (f *Fabric) Center() Pos { return Pos{f.Rows / 2, f.Cols / 2} }
 
 // TrapsByDistance returns all trap IDs sorted by Manhattan distance
-// from p (ties broken by trap ID for determinism). QUALE's center
-// placement and QSPR's median trap search both use this ordering.
+// from p (ties broken by trap ID for determinism). Center placement
+// and the annealer's move region use this ordering.
+//
+// It is a counting sort on distance: every trap lies inside the
+// Rows×Cols grid, so its distance from p falls in a window of at most
+// Rows+Cols-1 values above the grid's own distance from p. One pass
+// counts each distance, one places each trap ID in ID order, so the
+// cost is O(traps + rows + cols) and the bucket offsets share the one
+// allocation with the result (in its capacity-hidden tail).
 func (f *Fabric) TrapsByDistance(p Pos) []int {
-	ids := make([]int, len(f.Traps))
-	for i := range ids {
-		ids[i] = i
+	n := len(f.Traps)
+	if n == 0 {
+		return []int{}
 	}
-	sortBy(ids, func(a, b int) bool {
-		da := ManhattanDist(f.Traps[a].Pos, p)
-		db := ManhattanDist(f.Traps[b].Pos, p)
-		if da != db {
-			return da < db
-		}
-		return a < b
-	})
+	near := Pos{max(0, min(p.Row, f.Rows-1)), max(0, min(p.Col, f.Cols-1))}
+	lo := ManhattanDist(p, near)
+	buf := make([]int, n+f.Rows+f.Cols-1)
+	ids, next := buf[:n:n], buf[n:]
+	for i := range f.Traps {
+		next[ManhattanDist(f.Traps[i].Pos, p)-lo]++
+	}
+	sum := 0
+	for d, c := range next {
+		next[d] = sum
+		sum += c
+	}
+	for i := range f.Traps {
+		d := ManhattanDist(f.Traps[i].Pos, p) - lo
+		ids[next[d]] = i
+		next[d]++
+	}
 	return ids
 }
 
+// rowMajorLess reports whether cell a comes before cell b in
+// row-major order.
+func rowMajorLess(a, b Pos) bool {
+	return a.Row < b.Row || (a.Row == b.Row && a.Col < b.Col)
+}
+
 // NearestTrap returns the trap ID whose cell is closest (Manhattan)
-// to p among traps for which keep returns true; -1 if none.
+// to p among traps for which keep returns true, ties going to the
+// lower ID; -1 if none. A nil keep accepts every trap.
+//
+// keep is called only on traps whose (distance, ID) beats the best
+// kept trap found so far, so a trap it is never called on cannot be
+// the answer, whatever keep would have said about it. The search
+// walks rows outward from p (the upper of two equally far rows first,
+// since its traps have the lower IDs), stops once a row is farther
+// than the best distance, and within a row binary-searches the
+// row-major Traps slice for p's column and walks outward from it
+// while the traps can still win.
 func (f *Fabric) NearestTrap(p Pos, keep func(trapID int) bool) int {
+	n := len(f.Traps)
+	if n == 0 {
+		return -1
+	}
 	best, bestDist := -1, int(^uint(0)>>1)
-	for i := range f.Traps {
-		if keep != nil && !keep(i) {
-			continue
+	top, bottom := f.Traps[0].Pos.Row, f.Traps[n-1].Pos.Row
+	up, down := min(p.Row, bottom), max(p.Row+1, top)
+	for up >= top || down <= bottom {
+		r := up
+		if up < top || (down <= bottom && down-p.Row < p.Row-up) {
+			r = down
+			down++
+		} else {
+			up--
 		}
-		d := ManhattanDist(f.Traps[i].Pos, p)
-		if d < bestDist || (d == bestDist && i < best) {
-			best, bestDist = i, d
+		dr := abs(r - p.Row)
+		if dr > bestDist {
+			break
+		}
+		// Walk the row outward from p's column, the nearer side first
+		// (the left on a tie, since its trap has the lower ID).
+		h := f.searchTraps(Pos{r, p.Col})
+		l := h - 1
+		for {
+			inL := l >= 0 && f.Traps[l].Pos.Row == r
+			inH := h < n && f.Traps[h].Pos.Row == r
+			if !inL && !inH {
+				break
+			}
+			i := h
+			if inL && (!inH || p.Col-f.Traps[l].Pos.Col <= f.Traps[h].Pos.Col-p.Col) {
+				i, l = l, l-1
+			} else {
+				h++
+			}
+			d := dr + abs(f.Traps[i].Pos.Col-p.Col)
+			if d > bestDist || (d == bestDist && i > best) {
+				break // every later trap in this row is farther, or as far with a higher ID
+			}
+			if keep == nil || keep(i) {
+				best, bestDist = i, d
+				break
+			}
 		}
 	}
 	return best
 }
 
-// sortBy is a tiny insertion/heap-free sort wrapper to avoid pulling
-// in reflect-heavy helpers; fabrics have at most a few hundred traps.
-func sortBy(s []int, less func(a, b int) bool) {
-	// Simple binary-insertion sort: deterministic and fast enough.
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		lo, hi := 0, i
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if less(v, s[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
+// searchTraps returns the index of the first trap at or after cell at
+// in row-major order.
+func (f *Fabric) searchTraps(at Pos) int {
+	lo, hi := 0, len(f.Traps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rowMajorLess(f.Traps[m].Pos, at) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		copy(s[lo+1:i+1], s[lo:i])
-		s[lo] = v
 	}
+	return lo
 }
 
 // Stats summarizes a fabric.

@@ -143,6 +143,18 @@ func TestNearestTrapFilter(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonRowMajorTraps: NearestTrap binary-searches
+// the Traps slice by cell, so Validate must reject a fabric whose trap
+// numbering is not row-major even when every trap is otherwise sound.
+func TestValidateRejectsNonRowMajorTraps(t *testing.T) {
+	f := Small()
+	f.Traps[0], f.Traps[1] = f.Traps[1], f.Traps[0]
+	f.Traps[0].ID, f.Traps[1].ID = 0, 1
+	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "row-major") {
+		t.Fatalf("Validate on swapped trap numbering: %v, want a row-major error", err)
+	}
+}
+
 func TestParseTextErrors(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"unknown cell", "JCJ\nXCX\n"},

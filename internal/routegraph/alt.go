@@ -494,7 +494,11 @@ func (g *Graph) findRouteALT(fromTrap, toTrap int) (Route, bool) {
 	}
 	src := int32(g.trapNode[fromTrap])
 	dst := int32(g.trapNode[toTrap])
-	found := g.runCanonical(&a.search, src, dst, a.heuristicTo(dst))
+	// A sealed endpoint fails the search without one: the source
+	// cannot be left, and a sealed destination would otherwise be
+	// discovered unreachable only after flooding the fabric.
+	found := !g.sealed(src) && !g.sealed(dst) &&
+		g.runCanonical(&a.search, src, dst, a.heuristicTo(dst))
 	if !found {
 		if uncongested {
 			g.putCacheEntry(key, &routeEntry{})
@@ -511,6 +515,19 @@ func (g *Graph) findRouteALT(fromTrap, toTrap int) (Route, bool) {
 		})
 	}
 	return g.buildRoute(fromTrap, toTrap, cost), true
+}
+
+// sealed reports whether every edge at node n weighs +inf under the
+// current Eq. 2 weights, so no route can leave or enter it. At a trap
+// node every edge belongs to the trap's channel group, so this is the
+// case exactly while that channel is saturated (or defective).
+func (g *Graph) sealed(n int32) bool {
+	for k := g.edgeStart[n]; k < g.edgeStart[n+1]; k++ {
+		if g.EdgeWeight(int(g.edgeList[k])) != timeInf {
+			return false
+		}
+	}
+	return true
 }
 
 // OracleRoute answers the same query as FindRoute's ALT mode with a

@@ -142,12 +142,42 @@ func checkEquivOnSpec(spec string, seed int64, pairs int) string {
 				g.Commit(r)
 				committed = append(committed, r)
 			}
+			// Every fourth pair is re-queried with one endpoint sealed:
+			// its channel group filled to capacity, alternately the
+			// source's and the destination's.
+			if i%4 == 1 {
+				end := a
+				if i%8 == 5 {
+					end = b
+				}
+				release := fillGroup(g, g.ChannelGroupID(f.Traps[end].Channel))
+				alt, altOK := g.FindRoute(a, b)
+				oracle, oracleOK := g.OracleRoute(a, b)
+				release()
+				if d := routesDiffer(alt, altOK, oracle, oracleOK); d != "" {
+					return fmt.Sprintf("%s turnAware=%v %d->%d (trap %d sealed, #%d): %s", spec, turnAware, a, b, end, i, d)
+				}
+			}
 		}
 		for _, r := range committed {
 			g.Uncommit(r)
 		}
 	}
 	return ""
+}
+
+// fillGroup occupies a capacity group up to its capacity and returns
+// a func that releases what it added.
+func fillGroup(g *Graph, grp int) (release func()) {
+	added := 0
+	for gr := &g.Groups[grp]; gr.Occupancy() < gr.Capacity; added++ {
+		g.Occupy(grp)
+	}
+	return func() {
+		for ; added > 0; added-- {
+			g.Release(grp)
+		}
+	}
 }
 
 func TestALTMatchesOracleOnRandomFabrics(t *testing.T) {

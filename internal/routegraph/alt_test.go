@@ -161,3 +161,66 @@ func TestALTCacheHitMatchesCold(t *testing.T) {
 		}
 	}
 }
+
+// TestALTSealedEndpointSkipsSearch: a route into or out of a trap
+// whose channel is saturated fails without running a search — the ALT
+// searcher's generation does not advance, so a return to flooding the
+// fabric fails here — while a query with some other channel saturated
+// still searches, routes around it and matches the oracle.
+func TestALTSealedEndpointSkipsSearch(t *testing.T) {
+	f, _, err := fabric.Resolve("grid(rows=41,cols=41,pitch=4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(f, gates.Default(), Options{TurnAware: true, Landmarks: 8})
+	a := f.TrapsByDistance(fabric.Pos{Row: 0, Col: 0})[0]
+	b := f.TrapsByDistance(fabric.Pos{Row: 40, Col: 40})[0]
+	idle, ok := g.FindRoute(a, b)
+	if !ok {
+		t.Fatal("no route on an idle fabric")
+	}
+	idle = idle.Clone()
+
+	release := fillGroup(g, g.ChannelGroupID(f.Traps[b].Channel))
+	gen := g.alt.search.gen
+	for _, q := range [][2]int{{a, b}, {b, a}} {
+		if _, ok := g.FindRoute(q[0], q[1]); ok {
+			t.Fatalf("%d->%d routed through a saturated endpoint channel", q[0], q[1])
+		}
+	}
+	if g.alt.search.gen != gen {
+		t.Fatalf("sealed-endpoint queries ran %d searches, want 0", g.alt.search.gen-gen)
+	}
+	release()
+
+	// Saturate a channel in the middle of the idle route instead.
+	mid := -1
+	ends := [2]int{g.ChannelGroupID(f.Traps[a].Channel), g.ChannelGroupID(f.Traps[b].Channel)}
+	for _, h := range idle.Hops {
+		if gr := g.Groups[h.Group]; gr.Kind == ChannelGroup && h.Group != ends[0] && h.Group != ends[1] {
+			mid = h.Group
+			break
+		}
+	}
+	if mid < 0 {
+		t.Fatal("idle route crosses no channel besides its endpoints'")
+	}
+	defer fillGroup(g, mid)()
+	gen = g.alt.search.gen
+	got, gotOK := g.FindRoute(a, b)
+	if !gotOK {
+		t.Fatal("saturating a mid-route channel cut the route entirely")
+	}
+	if g.alt.search.gen == gen {
+		t.Fatal("a query with open endpoints did not search")
+	}
+	oracle, oracleOK := g.OracleRoute(a, b)
+	if d := routesDiffer(got, gotOK, oracle, oracleOK); d != "" {
+		t.Fatalf("detour differs from the oracle: %s", d)
+	}
+	for _, h := range got.Hops {
+		if h.Group == mid {
+			t.Fatal("route crosses the saturated channel")
+		}
+	}
+}

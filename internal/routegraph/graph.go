@@ -337,7 +337,7 @@ func (g *Graph) SaveState(st *State) {
 	st.coins = g.coins
 }
 
-// / RestoreState rewinds the graph to a previously saved mid-run state:
+// RestoreState rewinds the graph to a previously saved mid-run state:
 // occupancies are cleared and re-applied sparsely, and the tie rng is
 // re-seeded and advanced by the saved coin count, so every later
 // FindRoute draws exactly the coins the original run would have drawn
