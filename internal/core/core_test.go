@@ -278,3 +278,31 @@ func TestMapPortfolioWithAnneal(t *testing.T) {
 		t.Error("portfolio winner label missing")
 	}
 }
+
+// TestMapperQSPRAllocBudget gates the paper protocol's allocations: a
+// warm Mapper's QSPR map of [[5,1,3]] on quale45x85 (MVFB, m=25, seed
+// 1) allocates at most 1,000 objects. Recording checkpoints for
+// suffix replay during MVFB's forward runs costs thousands more, so
+// the gate fails if that comes back.
+func TestMapperQSPRAllocBudget(t *testing.T) {
+	const budget = 1000
+	bench, err := circuits.ByName("[[5,1,3]]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := fabric.Quale4585()
+	opts := Options{Heuristic: QSPR, Seeds: 25, Seed: 1}
+	mp := NewMapper()
+	if _, err := mp.Map(bench.Program, fab, opts); err != nil { // warm the Sim and its route cache
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := mp.Map(bench.Program, fab, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm QSPR map allocates %.0f objects", avg)
+	if avg > budget {
+		t.Errorf("warm QSPR map allocates %.0f objects, budget %d", avg, budget)
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -119,5 +120,56 @@ func TestTrapReachable(t *testing.T) {
 	}
 	if _, ok := rg.FindRoute(1, 0); ok {
 		t.Error("found route to unreachable trap")
+	}
+}
+
+// TestDefectiveJunctionAvoided: a mapping on a fabric with a dead
+// junction next to the qubits completes, and no traced move touches
+// either of the junction's routing nodes.
+func TestDefectiveJunctionAvoided(t *testing.T) {
+	f := fabric.Quale4585()
+	g := graphOf(t, fig3)
+	p := centerPlacement(f, g.NumQubits)
+	dead := f.Traps[p[0]].Channel
+	junction := f.Channels[dead].J1
+	cfg := qsprConfig(f)
+	cfg.DefectiveJunctions = []int{junction}
+	res, err := Run(g, cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := cfg.BuildRouteGraph()
+	for _, op := range res.Trace.Ops {
+		if op.Edge < 0 {
+			continue
+		}
+		e := rg.Edges[op.Edge]
+		if rg.Nodes[e.A].Junction == junction || rg.Nodes[e.B].Junction == junction {
+			t.Fatalf("trace op on edge %d touches defective junction %d", op.Edge, junction)
+		}
+	}
+}
+
+// TestConfigRejectsOutOfRangeDefects: a defect ID naming no fabric
+// element is an error that names the list and index, not a silent
+// perfect fabric.
+func TestConfigRejectsOutOfRangeDefects(t *testing.T) {
+	f := fabric.Small()
+	g := graphOf(t, "QUBIT a,0\nQUBIT b,0\nC-X a,b\n")
+	for _, tc := range []struct {
+		channels, junctions []int
+		want                string
+	}{
+		{channels: []int{0, len(f.Channels)}, want: "DefectiveChannels[1]"},
+		{channels: []int{-1}, want: "DefectiveChannels[0]"},
+		{junctions: []int{2, 3, len(f.Junctions) + 4}, want: "DefectiveJunctions[2]"},
+		{junctions: []int{-2}, want: "DefectiveJunctions[0]"},
+	} {
+		cfg := qsprConfig(f)
+		cfg.DefectiveChannels, cfg.DefectiveJunctions = tc.channels, tc.junctions
+		_, err := Run(g, cfg, Placement{0, 1})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("channels %v junctions %v: error %v, want one naming %s", tc.channels, tc.junctions, err, tc.want)
+		}
 	}
 }

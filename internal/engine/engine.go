@@ -169,6 +169,20 @@ func (c *Config) validate() error {
 	if err := c.Tech.Validate(); err != nil {
 		return err
 	}
+	if err := checkDefects("DefectiveChannels", c.DefectiveChannels, len(c.Fabric.Channels)); err != nil {
+		return err
+	}
+	return checkDefects("DefectiveJunctions", c.DefectiveJunctions, len(c.Fabric.Junctions))
+}
+
+// checkDefects rejects a defect ID that names no fabric element: the
+// routing graph would ignore it and map on a perfect fabric.
+func checkDefects(list string, ids []int, n int) error {
+	for i, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("engine: %s[%d] = %d is out of range [0, %d)", list, i, id, n)
+		}
+	}
 	return nil
 }
 

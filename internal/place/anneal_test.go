@@ -2,11 +2,13 @@ package place
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/fabric"
+	"repro/internal/qidg"
 )
 
 // TestAnnealDeterministic pins the annealer's determinism contract:
@@ -96,44 +98,116 @@ func TestAnnealBeatsCenterOnQuale(t *testing.T) {
 	}
 }
 
-// TestMVFBIncrementalByteIdentical: MVFB with suffix-replay forking is
-// byte-identical to the pre-incremental cold-re-simulation path, for
-// sequential and fanned searches.
+// TestMVFBIncrementalByteIdentical: the sequential MVFB search runs
+// every forward and backward run on one Sim, reusing its warm state
+// run after run (and, through MVFBOptions.Sim, mapping after mapping).
+// That reuse must be invisible: the solution is byte-identical to the
+// paper protocol re-simulated cold, one fresh Sim per engine run, for
+// sequential, warm-Sim and fanned searches.
 func TestMVFBIncrementalByteIdentical(t *testing.T) {
 	for _, tc := range innerParallelCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			base := MVFBOptions{Seeds: 4, Patience: 3, MaxRunsPerSeed: 12, Seed: 3}
-			cold := base
-			cold.NoIncremental = true
-			want, err := MVFB(tc.g, tc.cfg, cold)
-			if err != nil {
+			want := coldMVFB(t, tc.g, tc.cfg, base)
+			wantTrace := traceBytes(t, want.Result)
+
+			warm := engine.NewSim()
+			prior := base
+			prior.Seed, prior.Sim = 11, warm
+			if _, err := MVFB(tc.g, tc.cfg, prior); err != nil {
 				t.Fatal(err)
 			}
-			wantTrace := traceBytes(t, want.Result)
-			for _, workers := range []int{1, 4} {
+			variants := []struct {
+				name    string
+				workers int
+				sim     *engine.Sim
+			}{
+				{"workers=1", 1, nil},
+				{"workers=1/warm-sim", 1, warm},
+				{"workers=4", 4, nil},
+			}
+			for _, v := range variants {
 				opts := base
-				opts.Workers = workers
+				opts.Workers, opts.Sim = v.workers, v.sim
 				got, err := MVFB(tc.g, tc.cfg, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Runs != want.Runs || got.Seed != want.Seed ||
 					got.Iteration != want.Iteration || got.Backward != want.Backward {
-					t.Errorf("workers=%d provenance diverges from cold path: runs %d/%d seed %d/%d iter %d/%d bwd %v/%v",
-						workers, got.Runs, want.Runs, got.Seed, want.Seed,
+					t.Errorf("%s provenance diverges from cold path: runs %d/%d seed %d/%d iter %d/%d bwd %v/%v",
+						v.name, got.Runs, want.Runs, got.Seed, want.Seed,
 						got.Iteration, want.Iteration, got.Backward, want.Backward)
 				}
 				if !reflect.DeepEqual(got.Result, want.Result) {
-					t.Errorf("workers=%d result diverges from cold path: latency %v vs %v",
-						workers, got.Result.Latency, want.Result.Latency)
+					t.Errorf("%s result diverges from cold path: latency %v vs %v",
+						v.name, got.Result.Latency, want.Result.Latency)
 				}
 				if !bytes.Equal(traceBytes(t, got.Result), wantTrace) {
-					t.Errorf("workers=%d trace bytes diverge from cold path", workers)
+					t.Errorf("%s trace bytes diverge from cold path", v.name)
 				}
 			}
 		})
 	}
+}
+
+// coldMVFB is the reference for TestMVFBIncrementalByteIdentical: the
+// sequential ScopeGlobal protocol of §IV.A written out directly, with
+// every forward and backward run on a fresh Sim and its trace
+// captured as it runs.
+func coldMVFB(t *testing.T, g *qidg.Graph, cfg engine.Config, opts MVFBOptions) *Solution {
+	t.Helper()
+	rng := rand.New(rand.NewSource(opts.Seed))
+	starts := make([]engine.Placement, opts.Seeds)
+	for i := range starts {
+		p, err := CenterPermutation(cfg.Fabric, g.NumQubits, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts[i] = p
+	}
+	run := func(g *qidg.Graph, cfg engine.Config, p engine.Placement) *engine.Result {
+		cfg.CollectTrace = true
+		res, err := engine.NewSim().Run(g, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rev := g.Reverse()
+	best := &Solution{}
+	for seed, p := range starts {
+		sinceImprove := 0
+		// step counts one run against the global best and reports
+		// whether the start's search stops after it.
+		step := func(res *engine.Result, backward bool, iter int) bool {
+			best.Runs++
+			if best.Result == nil || res.Latency < best.Result.Latency {
+				best.Result, best.Backward, best.Seed, best.Iteration = res, backward, seed, iter
+				sinceImprove = 0
+				return false
+			}
+			sinceImprove++
+			return sinceImprove >= opts.Patience
+		}
+		for iter := 0; iter < opts.MaxRunsPerSeed; iter++ {
+			fcfg := cfg
+			fcfg.ForcedOrder = nil
+			fres := run(g, fcfg, p)
+			if step(fres, false, iter) {
+				break
+			}
+			bcfg := cfg
+			bcfg.ForcedOrder = reverseOrder(fres.IssueOrder)
+			bres := run(rev, bcfg, fres.Final)
+			if step(backwardSolution(bres), true, iter) {
+				break
+			}
+			p = bres.Final
+		}
+	}
+	return best
 }
 
 // TestPortfolioWithAnnealEntrant: entering the annealer must reproduce

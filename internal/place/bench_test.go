@@ -73,42 +73,6 @@ func BenchmarkAnnealChain(b *testing.B) {
 	}
 }
 
-// BenchmarkMVFBIncremental measures a full sequential MVFB search with
-// and without incremental forward evaluation. The honest headline:
-// MVFB's forward/backward protocol perturbs most qubits every
-// refinement step (delta ≈ nq between consecutive forward baselines),
-// so the dependency frontier clamps near zero and suffix replay
-// rarely engages — the two modes should be near-identical in ns/op.
-// Tracked so a future shallower-delta MVFB variant shows up, and as
-// the control group for BenchmarkAnnealChain.
-func BenchmarkMVFBIncremental(b *testing.B) {
-	f := fabric.Quale4585()
-	for _, name := range []string{"[[9,1,3]]", "[[19,1,7]]"} {
-		g := benchGraph(b, name)
-		cfg := benchPlaceConfig(f)
-		for _, mode := range []struct {
-			label string
-			noInc bool
-		}{{"incremental", false}, {"cold", true}} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode.label), func(b *testing.B) {
-				opts := DefaultMVFBOptions(5)
-				opts.NoIncremental = mode.noInc
-				var sol *Solution
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					sol, err = MVFB(g, cfg, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(sol.Result.Latency), "latency_µs")
-				b.ReportMetric(float64(sol.Runs), "runs")
-			})
-		}
-	}
-}
-
 // BenchmarkAnneal measures the full annealing placer (all restarts)
 // against the center baseline it must beat, reporting time-to-best:
 // the move index at which the winning chain found its final answer.

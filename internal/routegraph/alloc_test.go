@@ -17,8 +17,8 @@ func TestFindRouteZeroAllocSteadyState(t *testing.T) {
 	a := f.TrapsByDistance(fabric.Pos{Row: 0, Col: 0})[0]
 	z := f.TrapsByDistance(fabric.Pos{Row: 44, Col: 84})[0]
 
-	// Warm: first query grows the pooled search state, the hop buffer
-	// and the cache entry.
+	// Warm: first query grows the search heap, the hop buffer and the
+	// cache entry.
 	if _, ok := g.FindRoute(a, z); !ok {
 		t.Fatal("no route")
 	}

@@ -234,8 +234,8 @@ func (g *Graph) baseSSSP(src int32, out []gates.Time) {
 }
 
 // altSearcher is the reusable A*/Dijkstra state of the canonical
-// lexicographic (cost, hops) label domain. Like Searcher it resets in
-// O(1) by generation stamping, so queries touch memory proportional
+// lexicographic (cost, hops) label domain. Like the classic search it
+// resets in O(1) by generation stamping, so queries touch memory proportional
 // to the explored region, not the fabric.
 type altSearcher struct {
 	dist    []gates.Time
@@ -348,7 +348,7 @@ func (a *altState) heuristicTo(dst int32) func(n int32) gates.Time {
 
 // runCanonical executes the lexicographic (cost, hops) search from
 // src to dst under the current Eq. 2 weights, with the optional
-// consistent heuristic h (nil = Dijkstra). Unlike Searcher.run it
+// consistent heuristic h (nil = Dijkstra). Unlike runSearch it
 // does NOT stop the moment dst settles: it keeps popping until the
 // heap minimum exceeds dst's final label, which settles every node
 // whose optimal f-label is <= it. That closure is exactly what makes
@@ -518,9 +518,8 @@ func (g *Graph) findRouteALT(fromTrap, toTrap int) (Route, bool) {
 }
 
 // sealed reports whether every edge at node n weighs +inf under the
-// current Eq. 2 weights, so no route can leave or enter it. At a trap
-// node every edge belongs to the trap's channel group, so this is the
-// case exactly while that channel is saturated (or defective).
+// current Eq. 2 weights, so no route can leave or enter it: at a trap
+// node, while its channel is saturated or defective.
 func (g *Graph) sealed(n int32) bool {
 	for k := g.edgeStart[n]; k < g.edgeStart[n+1]; k++ {
 		if g.EdgeWeight(int(g.edgeList[k])) != timeInf {

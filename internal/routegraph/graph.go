@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/gates"
@@ -73,9 +72,11 @@ const (
 
 // Group is a congestion/capacity domain (a channel or a junction).
 type Group struct {
-	ID       int
-	Kind     GroupKind
-	Index    int // fabric channel or junction ID
+	ID   int
+	Kind GroupKind
+	// Index is the fabric channel or junction ID; -1 for the
+	// capacity-0 group that holds a defective junction's edges.
+	Index    int
 	Capacity int
 	occ      int
 	// inDirty marks the group as already recorded on the graph's
@@ -118,8 +119,11 @@ type Options struct {
 	// coin flip so results stay reproducible.
 	TieSeed int64
 	// DefectiveChannels and DefectiveJunctions list fabric elements
-	// that failed fabrication: their capacity groups get capacity 0,
-	// so no route ever crosses them. Yield modeling for large trap
+	// that failed fabrication, so no route ever crosses them: a
+	// defective channel's group gets capacity 0, and every edge at a
+	// defective junction's two nodes moves into one capacity-0 group
+	// appended after the others. IDs out of range are ignored here
+	// (engine.Config rejects them). Yield modeling for large trap
 	// arrays (beyond the paper, which assumes a perfect fabric).
 	DefectiveChannels  []int
 	DefectiveJunctions []int
@@ -138,11 +142,9 @@ type Options struct {
 // Graph is the routing graph over one fabric.
 //
 // Construction builds a CSR (compressed sparse row) adjacency once;
-// queries run on a pooled, generation-stamped search state and touch
-// no per-query heap memory. The graph is NOT safe for concurrent
-// mutation (FindRoute, Occupy, Release, Commit, Reset); concurrent
-// read-only shortest-path queries are supported through per-goroutine
-// Searchers (see NewSearcher / AcquireSearcher).
+// queries run on a graph-owned, generation-stamped search state and
+// touch no per-query heap memory. A graph is single-goroutine state:
+// FindRoute, Occupy, Release, Commit and Reset all mutate it.
 type Graph struct {
 	Fabric *fabric.Fabric
 	Tech   gates.Tech
@@ -169,6 +171,18 @@ type Graph struct {
 	edgeOther []int32
 	nodeKind  []NodeKind // Nodes[i].Kind, densely packed for the hot loop
 
+	// mult is each group's Eq. 2 multiplier: occ+1 while the group has
+	// residual capacity, 0 once it is saturated (or defective).
+	mult []int32
+
+	// The classic search's per-slot arrays (nil on ALT graphs): the
+	// group and SelectBase of each CSR slot's edge, and the end of
+	// each node's junction-neighbour prefix (search.go).
+	slotGroup []int32
+	slotBase  []gates.Time
+	juncEnd   []int32
+	srch      *search
+
 	// totalOcc gates the route cache: every totally idle state is
 	// weight-identical (Eq. 2 depends only on group occupancies), so
 	// totalOcc == 0 is the canonical cacheable generation; any
@@ -185,14 +199,6 @@ type Graph struct {
 	// graph routes in ALT mode (see alt.go); nil for classic Dijkstra.
 	alt *altState
 
-	// Pools of reusable search states: the Eq. 2 (gates.Time)
-	// instantiation used by FindRoute, and the float64 instantiation
-	// used by external cost models (PathFinder).
-	searchMu   sync.Mutex
-	searchFree []*Searcher[gates.Time]
-	floatMu    sync.Mutex
-	floatFree  []*Searcher[float64]
-
 	cache   map[uint64]*routeEntry
 	hopsBuf []Hop  // backs Route.Hops; valid until the next query
 	drawBuf []int8 // replayed tie-break coins
@@ -204,9 +210,6 @@ type Graph struct {
 	// exactly the coins the uncached search would have (see cache.go),
 	// so the count is query-history-deterministic.
 	coins uint64
-
-	weightFn func(edge int32) gates.Time
-	tieFn    func(next, edge int32) bool
 }
 
 // New builds the routing graph for a fabric under the given
@@ -239,20 +242,80 @@ func New(f *fabric.Fabric, tech gates.Tech, opts Options) *Graph {
 			g.Groups[g.chanGroup[ch]].Capacity = 0
 		}
 	}
-	for _, j := range opts.DefectiveJunctions {
-		if j >= 0 && j < len(f.Junctions) {
-			g.Groups[g.juncGroup[j]].Capacity = 0
-		}
-	}
 	g.buildEdges()
+	g.isolateDefectiveJunctions(opts.DefectiveJunctions)
 	g.buildCSR()
+	g.mult = make([]int32, len(g.Groups))
+	for id := range g.Groups {
+		g.setMult(id)
+	}
 	g.cache = make(map[uint64]*routeEntry)
-	g.weightFn = func(edge int32) gates.Time { return g.EdgeWeight(int(edge)) }
-	g.tieFn = func(next, edge int32) bool { g.coins++; return g.rng.Intn(2) == 0 }
 	if altEnabled(opts.Landmarks, len(g.Nodes)) {
 		g.buildALT(opts.Landmarks)
+	} else {
+		g.buildSearch()
 	}
 	return g
+}
+
+// isolateDefectiveJunctions moves every edge at a defective junction's
+// two nodes (its turn edge, the channel edges ending there and the
+// access edges of traps on those channels) into one capacity-0 group
+// appended after the existing ones, so no route crosses the junction
+// and no group ID moves; the junction's own group is left unused.
+// Out-of-range IDs are ignored.
+func (g *Graph) isolateDefectiveJunctions(ids []int) {
+	dead := -1
+	for _, j := range ids {
+		if j < 0 || j >= len(g.Fabric.Junctions) {
+			continue
+		}
+		if dead < 0 {
+			dead = g.addGroup(Group{Kind: JunctionGroup, Index: -1})
+		}
+		for _, n := range [2]int{g.juncNodeH[j], g.juncNodeV[j]} {
+			for _, eid := range g.adj[n] {
+				g.Edges[eid].Group = dead
+			}
+		}
+	}
+}
+
+// buildSearch gives a graph that routes with the classic search its
+// per-slot weight arrays, junction-prefix bounds and search state.
+func (g *Graph) buildSearch() {
+	g.juncEnd = junctionPrefixEnds(g.edgeStart, g.edgeOther, g.nodeKind)
+	g.slotGroup = make([]int32, len(g.edgeList))
+	g.slotBase = make([]gates.Time, len(g.edgeList))
+	for k, eid := range g.edgeList {
+		e := &g.Edges[eid]
+		g.slotGroup[k] = int32(e.Group)
+		g.slotBase[k] = e.SelectBase
+	}
+	g.srch = newSearch(len(g.Nodes))
+}
+
+// junctionPrefixEnds returns, per node, the end of the CSR slots that
+// lead to junction nodes. The classic search skips the trap slots
+// after that prefix by position, so it panics if any node lists a
+// junction neighbour after a trap neighbour: that would mean
+// buildEdges stopped adding junction edges before trap edges.
+func junctionPrefixEnds(start, other []int32, kinds []NodeKind) []int32 {
+	ends := make([]int32, len(start)-1)
+	for v := range ends {
+		end := start[v]
+		for k := start[v]; k < start[v+1]; k++ {
+			if kinds[other[k]] == TrapNode {
+				continue
+			}
+			if end != k {
+				panic(fmt.Sprintf("routegraph: node %d lists junction neighbour %d after a trap neighbour", v, other[k]))
+			}
+			end = k + 1
+		}
+		ends[v] = end
+	}
+	return ends
 }
 
 // buildCSR flattens the build-time adjacency lists into the CSR
@@ -299,6 +362,7 @@ func (g *Graph) Reset() {
 		gr := &g.Groups[id]
 		gr.occ = 0
 		gr.inDirty = false
+		g.setMult(int(id))
 	}
 	g.dirty = g.dirty[:0]
 	g.totalOcc = 0
@@ -350,65 +414,13 @@ func (g *Graph) RestoreState(st *State) {
 		gr.occ = int(st.occs[i])
 		gr.inDirty = true
 		g.dirty = append(g.dirty, id)
+		g.setMult(int(id))
 	}
 	g.totalOcc = st.totalOcc
 	for n := uint64(0); n < st.coins; n++ {
 		g.rng.Intn(2)
 	}
 	g.coins = st.coins
-}
-
-// acquireSearcher takes a pooled search state (or grows the pool).
-func (g *Graph) acquireSearcher() *Searcher[gates.Time] {
-	g.searchMu.Lock()
-	if n := len(g.searchFree); n > 0 {
-		s := g.searchFree[n-1]
-		g.searchFree = g.searchFree[:n-1]
-		g.searchMu.Unlock()
-		return s
-	}
-	g.searchMu.Unlock()
-	return NewSearcher[gates.Time](g)
-}
-
-func (g *Graph) releaseSearcher(s *Searcher[gates.Time]) {
-	g.searchMu.Lock()
-	g.searchFree = append(g.searchFree, s)
-	g.searchMu.Unlock()
-}
-
-// AcquireSearcher hands out a reusable gates.Time search state from
-// the graph-owned pool, for workers that run read-only shortest-path
-// queries concurrently (ShortestPath with a caller-supplied weight
-// function). Return it with ReleaseSearcher when done. FindRoute
-// itself mutates shared graph state (tie rng, cache, hop buffer) and
-// must not be called concurrently.
-func (g *Graph) AcquireSearcher() *Searcher[gates.Time] { return g.acquireSearcher() }
-
-// ReleaseSearcher returns a Searcher to the graph's pool.
-func (g *Graph) ReleaseSearcher(s *Searcher[gates.Time]) { g.releaseSearcher(s) }
-
-// AcquireFloatSearcher is AcquireSearcher for the float64 cost
-// domain (external cost models such as PathFinder's negotiated
-// congestion). Return it with ReleaseFloatSearcher so repeated
-// batch-routing calls on one graph reuse the grown buffers.
-func (g *Graph) AcquireFloatSearcher() *Searcher[float64] {
-	g.floatMu.Lock()
-	if n := len(g.floatFree); n > 0 {
-		s := g.floatFree[n-1]
-		g.floatFree = g.floatFree[:n-1]
-		g.floatMu.Unlock()
-		return s
-	}
-	g.floatMu.Unlock()
-	return NewSearcher[float64](g)
-}
-
-// ReleaseFloatSearcher returns a float64 Searcher to the graph's pool.
-func (g *Graph) ReleaseFloatSearcher(s *Searcher[float64]) {
-	g.floatMu.Lock()
-	g.floatFree = append(g.floatFree, s)
-	g.floatMu.Unlock()
 }
 
 // TrapReachable reports whether any route can reach the trap, i.e.
@@ -533,6 +545,7 @@ func (g *Graph) Occupy(groupID int) {
 	}
 	gr.occ++
 	g.totalOcc++
+	g.setMult(groupID)
 }
 
 // Release removes one committed qubit from a group ("when a qubit
@@ -545,20 +558,34 @@ func (g *Graph) Release(groupID int) {
 	}
 	gr.occ--
 	g.totalOcc--
+	g.setMult(groupID)
 	// When totalOcc returns to 0 the weights are identical to every
 	// other totally idle state, so the uncongested route cache is
 	// valid again (see cache.go).
 }
 
+// setMult refreshes a group's Eq. 2 multiplier after its occupancy
+// changed: n+1 while the group has residual capacity, 0 (impassable)
+// once it is saturated.
+func (g *Graph) setMult(id int) {
+	gr := &g.Groups[id]
+	var m int32
+	if gr.occ < gr.Capacity {
+		m = int32(gr.occ + 1)
+	}
+	g.mult[id] = m
+}
+
 // EdgeWeight evaluates Eq. 2 for an edge: (n+1)*base while the edge's
-// group has residual capacity, +inf (math.MaxInt64) otherwise.
+// group has residual capacity, +inf (math.MaxInt64) otherwise. The
+// classic search reads the same multiplier inline.
 func (g *Graph) EdgeWeight(edgeID int) gates.Time {
 	e := &g.Edges[edgeID]
-	gr := &g.Groups[e.Group]
-	if gr.occ >= gr.Capacity {
-		return math.MaxInt64
+	m := g.mult[e.Group]
+	if m == 0 {
+		return timeInf
 	}
-	return gates.Time(gr.occ+1) * e.SelectBase
+	return gates.Time(m) * e.SelectBase
 }
 
 // Hop is one traversed edge of a committed route.
@@ -633,20 +660,16 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 			return g.replayCacheEntry(e, fromTrap, toTrap)
 		}
 	}
-	s := g.acquireSearcher()
-	found := s.run(int32(g.trapNode[fromTrap]), int32(g.trapNode[toTrap]),
-		timeInf, g.weightFn, g.tieFn, uncongested)
+	src, dst := int32(g.trapNode[fromTrap]), int32(g.trapNode[toTrap])
+	found := g.runSearch(src, dst, uncongested)
 	if uncongested {
-		g.storeCacheEntry(key, s)
+		g.storeCacheEntry(key, src, dst, found)
 	}
 	if !found {
-		g.releaseSearcher(s)
 		return Route{}, false
 	}
-	cost := s.dist[s.lastDst]
-	g.hopsBuf = s.appendHops(g.hopsBuf[:0])
-	g.releaseSearcher(s)
-	return g.buildRoute(fromTrap, toTrap, cost), true
+	g.hopsBuf = g.appendHops(src, dst, g.hopsBuf[:0])
+	return g.buildRoute(fromTrap, toTrap, g.srch.dist[dst]), true
 }
 
 // Commit charges every hop's group (call after accepting a route).

@@ -352,3 +352,49 @@ func TestQuale4585GraphBuilds(t *testing.T) {
 			r.Moves, fabric.ManhattanDist(f.Traps[a].Pos, f.Traps[b].Pos))
 	}
 }
+
+// TestDefectiveJunctionIsImpassable: no route touches either node of a
+// defective junction, through its turn edge or any channel or access
+// edge ending there, under the classic search and ALT alike. The
+// junction's edges move into one group appended after the others, so
+// every other group keeps its ID.
+func TestDefectiveJunctionIsImpassable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		f      *fabric.Fabric
+		stride int
+	}{{"small", fabric.Small(), 1}, {"quale4585", fabric.Quale4585(), 9}} {
+		for _, landmarks := range []int{-1, 4} {
+			perfect := New(tc.f, gates.Default(), Options{TurnAware: true, Landmarks: landmarks})
+			g := New(tc.f, gates.Default(), Options{TurnAware: true, Landmarks: landmarks, DefectiveJunctions: []int{1}})
+			if len(g.Groups) != len(perfect.Groups)+1 {
+				t.Fatalf("%s: %d groups, want the perfect fabric's %d plus one", tc.name, len(g.Groups), len(perfect.Groups))
+			}
+			for id, gr := range perfect.Groups {
+				if got := g.Groups[id]; got.Kind != gr.Kind || got.Index != gr.Index {
+					t.Fatalf("%s: group %d moved: %+v, perfect fabric has %+v", tc.name, id, got, gr)
+				}
+			}
+			dead := map[int]bool{g.juncNodeH[1]: true, g.juncNodeV[1]: true}
+			n := len(tc.f.Traps)
+			found := 0
+			for a := 0; a < n; a += tc.stride {
+				for b := 1; b < n; b += tc.stride {
+					r, ok := g.FindRoute(a, b)
+					if ok {
+						found++
+					}
+					for _, hp := range r.Hops {
+						if e := g.Edges[hp.Edge]; dead[e.A] || dead[e.B] {
+							t.Fatalf("%s landmarks=%d: route %d->%d crosses defective junction 1 on edge %d",
+								tc.name, landmarks, a, b, hp.Edge)
+						}
+					}
+				}
+			}
+			if found == 0 {
+				t.Errorf("%s landmarks=%d: no route found at all", tc.name, landmarks)
+			}
+		}
+	}
+}

@@ -1,40 +1,43 @@
 package routegraph
 
-// This file is the shared zero-allocation shortest-path core used by
-// both FindRoute (Eq. 2 congestion weights, gates.Time) and the
-// PathFinder negotiated router (float64 costs). Design:
-//
-//   - The graph adjacency is flattened into CSR arrays at build time
-//     (edgeStart/edgeList, plus edgeOther carrying the far endpoint
-//     of each adjacency slot so the inner loop never branches on
-//     "which end am I").
-//   - All per-query state (dist/via/settled) lives in a reusable
-//     Searcher and is invalidated in O(1) by bumping a generation
-//     counter instead of clearing O(|nodes|) memory.
-//   - The priority queue is a monomorphic slice heap: no container/
-//     heap, no `any` boxing, zero allocations at steady state.
-//
-// IMPORTANT — heap shape. The legacy implementation used
-// container/heap over a binary heap, and FindRoute breaks cost ties
-// with a seeded rng that is consumed once per "equal-cost relaxation
-// event". The sequence of those events depends on the exact pop
-// order among equal-distance heap entries, so this heap replicates
-// container/heap's binary sift-up/sift-down *verbatim*. A 4-ary heap
-// would be marginally faster on paper but changes the pop order
-// among equal keys, which perturbs the tie-break stream and breaks
-// the pinned golden equivalence with the pre-refactor router (see
-// golden_test.go). Bit-identical results win over a few percent of
-// heap arithmetic.
+import "repro/internal/gates"
 
-// Weight is the cost domain of a search: the engine router uses
-// gates.Time (int64 µs), PathFinder uses float64 negotiated costs.
-type Weight interface {
-	~int64 | ~float64
-}
+// This file is FindRoute's classic search: Dijkstra from one trap to
+// another under the Eq. 2 congestion weights, breaking equal-cost
+// relaxations with the graph's seeded coin (§IV.B, Fig. 5). It is the
+// only search graphs below the ALT threshold run (see alt.go), and it
+// is specialized for that one job:
+//
+//   - Weights are read inline. Each CSR adjacency slot carries its
+//     edge's capacity group and SelectBase (slotGroup, slotBase), and
+//     the group's Eq. 2 multiplier (Graph.mult: occ+1, or 0 once the
+//     group is saturated) turns that into the weight. EdgeWeight reads
+//     the same multiplier, so Eq. 2 is defined in one place.
+//   - A junction node scans only its junction-neighbour prefix. Its
+//     trap neighbours trail it in the CSR order (New checks this), and
+//     of them only the destination can be relaxed: other traps are not
+//     thoroughfares, and the source is settled first, after which any
+//     relaxation of it is a no-op (no edge weighs less than zero). The
+//     trailing trap slots are scanned only at the destination's own
+//     neighbours, which each query stamps.
+//   - All per-query state is reset in O(1) by bumping a generation
+//     counter, and queries allocate nothing at steady state.
+//
+// Heap shape. The seeded coin is consumed once per equal-cost
+// relaxation event, and the sequence of those events depends on the
+// exact pop order among equal-distance entries. The heap therefore
+// leaves its array exactly as container/heap would with a strict <
+// Less: push sifts up and pop sifts down along the same path with the
+// same comparisons, moving a hole instead of swapping. A different
+// heap (a 4-ary one, or a bottom-up pop that stops below equal keys)
+// reorders equal keys and breaks the golden fingerprints
+// (golden_test.go); search_test.go pins the equivalence against
+// container/heap and against the generic loop this one replaced.
 
-type searchNode[W Weight] struct {
+// searchNode is one heap entry.
+type searchNode struct {
 	node int32
-	dist W
+	dist gates.Time
 }
 
 // viaWrite records one write to the predecessor array during a
@@ -48,123 +51,114 @@ type viaWrite struct {
 	tie  int32
 }
 
-// Searcher is a reusable Dijkstra state over one Graph. It may be
-// used concurrently with other Searchers on the same graph as long
-// as the graph itself is not mutated (Occupy/Release/FindRoute);
-// concurrent MVFB or Monte-Carlo workers obtain one per goroutine
-// via NewSearcher or the graph-owned pool (AcquireSearcher).
-type Searcher[W Weight] struct {
-	g *Graph
-
-	dist         []W
+// search is the graph-owned state of the classic search. FindRoute
+// is single-threaded by contract, so one per graph is enough.
+type search struct {
+	dist         []gates.Time
 	via          []int32
 	distStamp    []uint32
 	settledStamp []uint32
-	gen          uint32
-	heap         []searchNode[W]
-	revBuf       []int32
+	// nearStamp marks the destination's neighbours for the query in
+	// flight: only their trap slots can hold the destination.
+	nearStamp []uint32
+	gen       uint32
+	heap      []searchNode
+	revBuf    []int32
 
-	// recording state for the route cache (FindRoute only).
-	record  bool
+	// writes and numTies record the query's predecessor writes and
+	// equal-cost events for the route cache (cache.go).
 	writes  []viaWrite
 	numTies int32
-
-	lastSrc, lastDst int32
-	lastFound        bool
 }
 
-// NewSearcher returns a reusable search state for g. The zero
-// allocation guarantee holds from the second query on (buffers grow
-// to their steady-state size during the first).
-func NewSearcher[W Weight](g *Graph) *Searcher[W] {
-	n := len(g.Nodes)
-	return &Searcher[W]{
-		g:            g,
-		dist:         make([]W, n),
+func newSearch(n int) *search {
+	return &search{
+		dist:         make([]gates.Time, n),
 		via:          make([]int32, n),
 		distStamp:    make([]uint32, n),
 		settledStamp: make([]uint32, n),
+		nearStamp:    make([]uint32, n),
 	}
 }
 
 // begin opens a fresh query: O(1) state reset via generation bump.
-func (s *Searcher[W]) begin() {
+func (s *search) begin() {
 	s.gen++
 	if s.gen == 0 { // uint32 wrap: clear stamps once every 4G queries
 		clear(s.distStamp)
 		clear(s.settledStamp)
+		clear(s.nearStamp)
 		s.gen = 1
 	}
 	s.heap = s.heap[:0]
 	s.writes = s.writes[:0]
 	s.numTies = 0
-	s.lastFound = false
 }
 
-// push appends and sifts up, replicating container/heap.Push exactly
-// (strict < comparison, identical swap order).
-func (s *Searcher[W]) push(x searchNode[W]) {
+// push is container/heap.Push with a hole: parents strictly greater
+// than x move down one level and x lands in the vacated slot.
+func (s *search) push(x searchNode) {
 	h := append(s.heap, x)
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(h[j].dist < h[i].dist) {
+		if !(x.dist < h[i].dist) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = x
 	s.heap = h
 }
 
-// pop replicates container/heap.Pop exactly: swap root with last,
-// sift down over the shortened heap, return the displaced root.
-func (s *Searcher[W]) pop() searchNode[W] {
+// pop is container/heap.Pop with a hole: the last entry x takes the
+// root's place and sinks while its smaller child (the left one on
+// ties) is strictly less than it, children moving up as it goes.
+func (s *search) pop() searchNode {
 	h := s.heap
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
+	top, x := h[0], h[n]
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
 			j = j2
 		}
-		if !(h[j].dist < h[i].dist) {
+		if !(h[j].dist < x.dist) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	v := h[n]
+	h[i] = x
 	s.heap = h[:n]
-	return v
+	return top
 }
 
-// run executes Dijkstra from graph node src to dst under the given
-// weight function. An edge whose weight equals inf is impassable.
-// onEqual, when non-nil, is consulted once per equal-cost relaxation
-// of an unsettled node and may redirect the predecessor (FindRoute's
-// seeded tie-break); record additionally logs every predecessor
-// write for cache replay. Trap nodes other than src/dst are excluded
-// (gate sites are not thoroughfares).
-func (s *Searcher[W]) run(src, dst int32, inf W, weight func(edge int32) W, onEqual func(next, edge int32) bool, record bool) bool {
+// runSearch executes the classic search from graph node src to dst
+// under the current Eq. 2 weights and reports whether dst was
+// reached. Each equal-cost relaxation of an unsettled node draws one
+// coin that may redirect its predecessor; record additionally logs
+// every predecessor write for the route cache.
+func (g *Graph) runSearch(src, dst int32, record bool) bool {
+	s := g.srch
 	s.begin()
-	s.record = record
-	s.lastSrc, s.lastDst = src, dst
-	g := s.g
-	dist, stamp, settled, via := s.dist, s.distStamp, s.settledStamp, s.via
 	gen := s.gen
-	kinds := g.nodeKind
-	start, list, other := g.edgeStart, g.edgeList, g.edgeOther
+	dist, stamp, settled, via, near := s.dist, s.distStamp, s.settledStamp, s.via, s.nearStamp
+	start, juncEnd, list, other := g.edgeStart, g.juncEnd, g.edgeList, g.edgeOther
+	group, base, mult := g.slotGroup, g.slotBase, g.mult
 
+	for k := start[dst]; k < start[dst+1]; k++ {
+		near[other[k]] = gen
+	}
 	dist[src] = 0
 	stamp[src] = gen
 	via[src] = -1
-	s.push(searchNode[W]{node: src, dist: 0})
+	s.push(searchNode{node: src, dist: 0})
 	for len(s.heap) > 0 {
 		cur := s.pop()
 		cn := cur.node
@@ -175,78 +169,59 @@ func (s *Searcher[W]) run(src, dst int32, inf W, weight func(edge int32) W, onEq
 		if cn == dst {
 			break
 		}
-		for k := start[cn]; k < start[cn+1]; k++ {
-			eid := list[k]
+		firstTrap, end := juncEnd[cn], juncEnd[cn]
+		if near[cn] == gen {
+			end = start[cn+1]
+		}
+		for k := start[cn]; k < end; k++ {
 			next := other[k]
-			if kinds[next] == TrapNode && next != dst && next != src {
+			if k >= firstTrap && next != dst {
 				continue
 			}
-			w := weight(eid)
-			if w == inf {
-				continue
+			m := mult[group[k]]
+			if m == 0 {
+				continue // saturated or defective: impassable
 			}
-			nd := cur.dist + w
-			d := inf
+			nd := cur.dist + gates.Time(m)*base[k]
+			d := timeInf
 			if stamp[next] == gen {
 				d = dist[next]
 			}
 			if nd < d {
+				eid := list[k]
 				dist[next] = nd
 				stamp[next] = gen
 				via[next] = eid
 				if record {
 					s.writes = append(s.writes, viaWrite{node: next, edge: eid, tie: -1})
 				}
-				s.push(searchNode[W]{node: next, dist: nd})
-			} else if nd == d && settled[next] != gen && onEqual != nil {
+				s.push(searchNode{node: next, dist: nd})
+			} else if nd == d && settled[next] != gen {
 				// Equal-cost alternatives are indistinguishable to the
-				// router (Fig. 5); the callback picks one arbitrarily
-				// but reproducibly. Swapping the predecessor of an
+				// router (Fig. 5); the coin picks one arbitrarily but
+				// reproducibly. Swapping the predecessor of an
 				// unsettled node cannot invalidate settled paths.
+				eid := list[k]
 				if record {
 					s.writes = append(s.writes, viaWrite{node: next, edge: eid, tie: s.numTies})
 				}
 				s.numTies++
-				if onEqual(next, eid) {
+				g.coins++
+				if g.rng.Intn(2) == 0 {
 					via[next] = eid
 				}
 			}
 		}
 	}
-	s.lastFound = s.distStamp[dst] == gen
-	return s.lastFound
+	return stamp[dst] == gen
 }
 
-// ShortestPath runs Dijkstra between two traps under the caller's
-// weight function (an edge weighing exactly inf is impassable) and
-// returns the destination cost. Use AppendHops to materialize the
-// path. This is the entry point for external cost models such as
-// PathFinder's negotiated congestion; FindRoute layers the Eq. 2
-// weights, the seeded tie-break and the route cache on the same core.
-func (s *Searcher[W]) ShortestPath(fromTrap, toTrap int, inf W, weight func(edge int32) W) (W, bool) {
-	src := int32(s.g.trapNode[fromTrap])
-	dst := int32(s.g.trapNode[toTrap])
-	if !s.run(src, dst, inf, weight, nil, false) {
-		var zero W
-		return zero, false
-	}
-	return s.dist[dst], true
-}
-
-// AppendHops appends the hops of the most recent found path, in
-// travel order, and returns the extended slice. It must only be
-// called after a successful ShortestPath on this Searcher.
-func (s *Searcher[W]) AppendHops(hops []Hop) []Hop {
-	if !s.lastFound {
-		panic("routegraph: AppendHops without a found path")
-	}
-	return s.appendHops(hops)
-}
-
-func (s *Searcher[W]) appendHops(hops []Hop) []Hop {
-	g := s.g
+// appendHops appends the hops of the path the via array holds from
+// src to dst, in travel order, and returns the extended slice.
+func (g *Graph) appendHops(src, dst int32, hops []Hop) []Hop {
+	s := g.srch
 	rev := s.revBuf[:0]
-	for n := s.lastDst; n != s.lastSrc; {
+	for n := dst; n != src; {
 		eid := s.via[n]
 		rev = append(rev, eid)
 		e := &g.Edges[eid]
