@@ -473,8 +473,8 @@ func BenchmarkExtWorkloadShapes(b *testing.B) {
 }
 
 // BenchmarkExtMVFBWorkers measures the parallel MVFB speedup under
-// per-seed stopping (the solution is bit-identical for any worker
-// count; worker=1 here uses the same scope for a fair comparison).
+// the paper's global-patience protocol (the solution is bit-identical
+// for any worker count).
 func BenchmarkExtMVFBWorkers(b *testing.B) {
 	bench, err := circuits.ByName("[[23,1,7]]")
 	if err != nil {
@@ -488,8 +488,7 @@ func BenchmarkExtMVFBWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := place.MVFBOptions{
-				Seeds: 8, Patience: 3, MaxRunsPerSeed: 50, Seed: 1,
-				PatienceScope: place.ScopeSeed, Workers: workers,
+				Seeds: 8, Patience: 3, MaxRunsPerSeed: 50, Seed: 1, Workers: workers,
 			}
 			for i := 0; i < b.N; i++ {
 				if _, err := place.MVFB(g, cfg, opts); err != nil {

@@ -22,13 +22,13 @@ import (
 // noise model, viz and every report renderer work identically on any
 // backend. The contract:
 //
-//   - opts arrive already normalized (Map/mapWith call Normalize
+//   - opts arrive already normalized (Mapper.Map calls Normalize
 //     before dispatch); implementations must not re-default them.
 //   - Implementations are stateless values safe for concurrent use.
-//     Per-worker warm state — today the reusable engine.Sim a Mapper
-//     owns — is caller-owned and threaded in via sim; the ion backend
-//     runs its sequential search paths on it, other backends ignore
-//     it (docs/CONCURRENCY.md "Backends").
+//     Per-worker warm state — the reusable engine.Sim a Mapper owns,
+//     never nil — is caller-owned and threaded in via sim; the ion
+//     backend runs its QSPR-engine placers on it, other backends
+//     ignore it (docs/CONCURRENCY.md "Backends").
 //   - Results are a pure function of (prog, fab, opts): bit-identical
 //     at any opts.InnerParallel and on warm or cold state.
 type Backend interface {
@@ -84,8 +84,7 @@ func BackendDisplayName(canonical string) string {
 }
 
 // ionBackend is the paper's architecture: ion-trap shuttling under
-// the QSPR/QUALE/QPOS engines. It is the pre-refactor body of
-// core.mapWith, moved verbatim — zero behavior change.
+// the QSPR/QUALE/QPOS engines.
 type ionBackend struct{}
 
 func (ionBackend) Name() string { return "ion" }
@@ -121,23 +120,8 @@ func (ionBackend) Map(prog *qasm.Program, fab *fabric.Fabric, opts Options, sim 
 		res.Runs = sol.Runs
 		res.BackwardWinner = sol.Backward
 	case QSPRCenter:
-		// A single deterministic run whose trace is the deliverable:
-		// engine.Run captures unconditionally, no deferred replay.
-		cfg := qsprConfig(fab, tech)
-		p, err := place.Center(fab, g.NumQubits)
-		if err != nil {
-			return nil, err
-		}
-		var r *engine.Result
-		if sim != nil {
-			// Same run on the warm Sim; capture on makes it
-			// byte-identical to the one-shot engine.Run.
-			ccfg := cfg
-			ccfg.CollectTrace = true
-			r, err = sim.Run(g, ccfg, p)
-		} else {
-			r, err = engine.Run(g, cfg, p)
-		}
+		// A single deterministic run whose trace is the deliverable.
+		r, err := place.CenterRun(g, qsprConfig(fab, tech), sim)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +129,7 @@ func (ionBackend) Map(prog *qasm.Program, fab *fabric.Fabric, opts Options, sim 
 		res.Runs = 1
 	case MonteCarlo:
 		cfg := qsprConfig(fab, tech)
-		sol, err := place.MonteCarloWarm(g, cfg, opts.Seeds, opts.Seed, opts.InnerParallel, sim)
+		sol, err := place.MonteCarlo(g, cfg, opts.Seeds, opts.Seed, opts.InnerParallel, sim)
 		if err != nil {
 			return nil, err
 		}

@@ -51,10 +51,10 @@ const (
 	// mapping by (latency, placer rank). Inspired by portfolio-style
 	// parallel search (cf. DateSAT); not a row of the paper's tables.
 	Portfolio
-	// Anneal is QSPR's engine under a simulated-annealing placer built
-	// on incremental re-simulation: thousands of single-qubit moves,
-	// each evaluated by replaying only the event suffix past the moved
-	// qubit's dependency frontier. Not a row of the paper's tables.
+	// Anneal is QSPR's engine under a simulated-annealing placer:
+	// seeded restart chains of single-qubit relocations and pair
+	// swaps, each candidate evaluated by a full engine run. Not a row
+	// of the paper's tables.
 	Anneal
 )
 
@@ -108,14 +108,6 @@ type Options struct {
 	// is sequential. Sweeps (internal/experiment) share one CPU
 	// budget between this level and across-run parallelism.
 	InnerParallel int
-	// Workers is the old name of InnerParallel. Precedence when both
-	// are set: a non-zero InnerParallel wins; otherwise Workers
-	// forwards into InnerParallel. Normalize applies this rule in one
-	// place (the values never silently disagree downstream: every
-	// consumer sees the resolved InnerParallel only).
-	//
-	// Deprecated: set InnerParallel.
-	Workers int
 	// AnnealMoves is the annealing placer's proposed moves per restart
 	// chain. For the Anneal heuristic 0 means the default of 400;
 	// negative values are rejected. For the Portfolio heuristic a
@@ -140,11 +132,10 @@ type Options struct {
 }
 
 // Normalize validates o and resolves its documented defaults: Seeds 0
-// → 25, Seed 0 → 1, Patience 0 → 3, and the Workers→InnerParallel
-// precedence (non-zero InnerParallel wins; Workers, the deprecated
-// old name, forwards into it otherwise). Negative values are errors
-// rather than silent coercions. Map normalizes internally; callers
-// only need Normalize to inspect the resolved options.
+// → 25, Seed 0 → 1, Patience 0 → 3 and InnerParallel 0 → 1. Negative
+// values are errors rather than silent coercions. Map normalizes
+// internally; callers only need Normalize to inspect the resolved
+// options.
 func (o Options) Normalize() (Options, error) {
 	switch {
 	case o.Seeds < 0:
@@ -155,8 +146,6 @@ func (o Options) Normalize() (Options, error) {
 		return o, fmt.Errorf("core: Patience %d < 0 (0 means the default of 3)", o.Patience)
 	case o.InnerParallel < 0:
 		return o, fmt.Errorf("core: InnerParallel %d < 0 (0 or 1 means sequential)", o.InnerParallel)
-	case o.Workers < 0:
-		return o, fmt.Errorf("core: Workers %d < 0 (0 or 1 means sequential)", o.Workers)
 	case o.AnnealMoves < 0:
 		return o, fmt.Errorf("core: AnnealMoves %d < 0 (0 means the default of 400)", o.AnnealMoves)
 	case o.AnnealRestarts < 0:
@@ -179,9 +168,6 @@ func (o Options) Normalize() (Options, error) {
 		o.Patience = 3
 	}
 	if o.InnerParallel == 0 {
-		o.InnerParallel = o.Workers
-	}
-	if o.InnerParallel < 1 {
 		o.InnerParallel = 1
 	}
 	// Anneal knobs resolve only where they matter — for the Anneal
@@ -235,8 +221,8 @@ func (r *Result) Overhead() gates.Time { return r.Latency - r.Ideal }
 // canonical string: two Options with equal keys are guaranteed to
 // produce bit-identical mapping results for the same (program,
 // fabric) — the property the qsprd result cache is keyed on.
-// InnerParallel and Workers are deliberately absent: parallelism
-// knobs never change result bytes (docs/CONCURRENCY.md). A Tech
+// InnerParallel is deliberately absent: parallelism never changes
+// result bytes (docs/CONCURRENCY.md). A Tech
 // override is rejected — it changes results but has no canonical
 // rendering, so it must not silently collapse into one key.
 func (o Options) ResultKey() (string, error) {
@@ -272,11 +258,11 @@ func (o Options) ResultKey() (string, error) {
 // (the qsprd service) keep one Mapper per worker. Results are
 // bit-identical to the package-level Map.
 //
-// The warm Sim serves the sequential paths: QSPR's MVFB search and
-// winner replay, the Monte-Carlo trial loop, and the QSPR-center
-// single run. The parallel search paths (InnerParallel > 1) and the
-// portfolio's racing entrants own private per-worker Sims as always,
-// and the QUALE/QPOS baselines build their own engines.
+// The warm Sim serves the QSPR-engine placers: the first worker of
+// the MVFB, Monte-Carlo and annealing searches and their winner
+// replay, and the QSPR-center single run. Further search workers
+// (InnerParallel > 1) and the portfolio's racing entrants own private
+// Sims, and the QUALE/QPOS baselines run on fresh ones.
 type Mapper struct {
 	sim *engine.Sim
 }
@@ -286,25 +272,19 @@ type Mapper struct {
 func NewMapper() *Mapper { return &Mapper{sim: engine.NewSim()} }
 
 // Map is the warm-state equivalent of the package-level Map; results
-// are bit-identical.
+// are bit-identical. It normalizes opts once, then dispatches to the
+// selected Backend with the Mapper's Sim.
 func (mp *Mapper) Map(prog *qasm.Program, fab *fabric.Fabric, opts Options) (*Result, error) {
-	return mapWith(prog, fab, opts, mp.sim)
-}
-
-// Map schedules, places and routes prog onto fab.
-func Map(prog *qasm.Program, fab *fabric.Fabric, opts Options) (*Result, error) {
-	return mapWith(prog, fab, opts, nil)
-}
-
-// mapWith is the shared mapping flow: normalize once, then dispatch
-// to the selected Backend with the warm caller-owned simulator (used
-// by the ion backend's sequential paths, ignored by others).
-func mapWith(prog *qasm.Program, fab *fabric.Fabric, opts Options, sim *engine.Sim) (*Result, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	return backends[opts.Backend].Map(prog, fab, opts, sim)
+	return backends[opts.Backend].Map(prog, fab, opts, mp.sim)
+}
+
+// Map schedules, places and routes prog onto fab on a fresh Mapper.
+func Map(prog *qasm.Program, fab *fabric.Fabric, opts Options) (*Result, error) {
+	return NewMapper().Map(prog, fab, opts)
 }
 
 // MonteCarloRuns maps with the MC placer using an explicit run count
@@ -319,7 +299,7 @@ func MonteCarloRuns(prog *qasm.Program, fab *fabric.Fabric, runs int, seed int64
 		tc = *tech
 	}
 	start := time.Now()
-	sol, err := place.MonteCarlo(g, qsprConfig(fab, tc), runs, seed)
+	sol, err := place.MonteCarlo(g, qsprConfig(fab, tc), runs, seed, 1, nil)
 	if err != nil {
 		return nil, err
 	}

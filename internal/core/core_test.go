@@ -134,25 +134,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestWorkersInnerParallelPrecedence pins the resolution of the
-// deprecated Workers knob: non-zero InnerParallel wins; Workers
-// forwards into it otherwise. The two can never silently disagree —
-// consumers only ever see the resolved InnerParallel.
-func TestWorkersInnerParallelPrecedence(t *testing.T) {
-	o, err := Options{Workers: 4}.Normalize()
-	if err != nil || o.InnerParallel != 4 {
-		t.Errorf("Workers alone: InnerParallel = %d (err %v), want 4", o.InnerParallel, err)
-	}
-	o, err = Options{Workers: 4, InnerParallel: 2}.Normalize()
-	if err != nil || o.InnerParallel != 2 {
-		t.Errorf("both set: InnerParallel = %d (err %v), want 2 (InnerParallel wins)", o.InnerParallel, err)
-	}
-	o, err = Options{InnerParallel: 8}.Normalize()
-	if err != nil || o.InnerParallel != 8 {
-		t.Errorf("InnerParallel alone: got %d (err %v)", o.InnerParallel, err)
-	}
-}
-
 // TestNormalizeRejectsNegatives: negative knobs fail loudly instead
 // of being silently coerced.
 func TestNormalizeRejectsNegatives(t *testing.T) {
@@ -161,7 +142,6 @@ func TestNormalizeRejectsNegatives(t *testing.T) {
 		{Seed: -1},
 		{Patience: -2},
 		{InnerParallel: -1},
-		{Workers: -3},
 		{AnnealMoves: -1},
 		{AnnealRestarts: -4},
 		{AnnealCooling: -0.5},

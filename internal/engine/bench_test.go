@@ -21,9 +21,9 @@ func benchGraph(b *testing.B, name string) *qidg.Graph {
 	return g
 }
 
-// BenchmarkEngineRun measures the compatibility entry point: a fresh
-// simulator and trace per call, exactly what every caller paid before
-// the reusable Sim core (the "before" column of BENCH_engine.json).
+// BenchmarkEngineRun measures a one-shot run: a fresh simulator and
+// captured trace per call, what every caller paid before the reusable
+// Sim core (the "before" column of BENCH_engine.json).
 func BenchmarkEngineRun(b *testing.B) {
 	for _, name := range []string{"[[5,1,3]]", "[[7,1,3]]"} {
 		b.Run(name, func(b *testing.B) {
@@ -34,7 +34,7 @@ func BenchmarkEngineRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(g, cfg, p); err != nil {
+				if _, err := run(g, cfg, p); err != nil {
 					b.Fatal(err)
 				}
 			}

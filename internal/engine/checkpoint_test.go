@@ -49,7 +49,7 @@ func TestRunRecordedMatchesRun(t *testing.T) {
 			cfg := qsprConfig(tc.f)
 			cfg.CollectTrace = true
 			p := centerPlacement(tc.f, tc.g.NumQubits)
-			want, err := Run(tc.g, cfg, p)
+			want, err := run(tc.g, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,7 @@ func TestDefectiveChannelForcesDetour(t *testing.T) {
 	// pure channel edge (not the trap-access channels, which would
 	// strand the qubits).
 	healthyCfg := qsprConfig(f)
-	healthy, err := Run(g, healthyCfg, Placement{ta, tb})
+	healthy, err := run(g, healthyCfg, Placement{ta, tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDefectiveChannelForcesDetour(t *testing.T) {
 	}
 	cfg := qsprConfig(f)
 	cfg.DefectiveChannels = []int{forbidden}
-	res, err := Run(g, cfg, Placement{ta, tb})
+	res, err := run(g, cfg, Placement{ta, tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRandomDefectsStillComplete(t *testing.T) {
 		}
 		cfg := qsprConfig(f)
 		cfg.DefectiveChannels = defects
-		res, err := Run(g, cfg, centerPlacement(f, g.NumQubits))
+		res, err := run(g, cfg, centerPlacement(f, g.NumQubits))
 		if err != nil {
 			t.Fatalf("trial %d (%d defects): %v", trial, len(defects), err)
 		}
@@ -134,7 +134,7 @@ func TestDefectiveJunctionAvoided(t *testing.T) {
 	junction := f.Channels[dead].J1
 	cfg := qsprConfig(f)
 	cfg.DefectiveJunctions = []int{junction}
-	res, err := Run(g, cfg, p)
+	res, err := run(g, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestConfigRejectsOutOfRangeDefects(t *testing.T) {
 	} {
 		cfg := qsprConfig(f)
 		cfg.DefectiveChannels, cfg.DefectiveJunctions = tc.channels, tc.junctions
-		_, err := Run(g, cfg, Placement{0, 1})
+		_, err := run(g, cfg, Placement{0, 1})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("channels %v junctions %v: error %v, want one naming %s", tc.channels, tc.junctions, err, tc.want)
 		}

@@ -11,19 +11,17 @@
 // (package quale) calls it with different knobs (ALAP priorities,
 // turn-blind metric, capacity-1 channels, single moving operand).
 //
-// Two entry points run a mapping:
-//
-//   - Sim, the reusable simulator core (sim.go). A Sim owns every
-//     piece of per-run state — typed event queue, ready/busy queues,
-//     placement and reservation bookkeeping, pooled trace — and
-//     recycles all of it across runs, so a steady-state Sim.Run
-//     performs no allocations beyond the returned Result. Search
-//     loops (MVFB, Monte-Carlo, the portfolio) give each worker its
-//     own Sim and run candidates with Config.CollectTrace=false,
-//     re-running only the winner with capture on; trace writes are
-//     side-effect-free, so the replay is byte-identical.
-//   - Run, the one-shot compatibility wrapper: a fresh Sim per call
-//     with trace capture always on, exactly the pre-Sim behaviour.
+// One entry point runs a mapping: Sim, the reusable simulator core
+// (sim.go). A Sim owns every piece of per-run state — typed event
+// queue, ready/busy queues, placement and reservation bookkeeping,
+// pooled trace — and recycles all of it across runs, so a
+// steady-state Sim.Run performs no allocations beyond the returned
+// Result. Search loops (MVFB, Monte-Carlo, the annealer, the
+// portfolio) give each worker its own Sim and run candidates with
+// Config.CollectTrace=false, re-running only the winner with capture
+// on; trace writes are side-effect-free, so the replay is
+// byte-identical. One-shot mappers (QUALE, QPOS, QSPR-center) make a
+// single run with capture on.
 package engine
 
 import (
@@ -32,7 +30,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/gates"
-	"repro/internal/qidg"
 	"repro/internal/routegraph"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -108,8 +105,7 @@ type Config struct {
 	// run allocates nothing for capture. Search loops run candidates
 	// traceless and re-run only the winner with CollectTrace=true;
 	// determinism makes the replayed trace byte-identical to one
-	// captured during the search. The compatibility wrapper Run
-	// ignores this field and always captures.
+	// captured during the search.
 	CollectTrace bool
 
 	// MaxEvents guards the simulator; 0 means the default guard.
@@ -117,9 +113,9 @@ type Config struct {
 
 	// RouteGraph optionally supplies a pre-built routing graph to
 	// reuse across runs instead of rebuilding CSR arrays and search
-	// state per Run. It must describe the same fabric, technology and
+	// state per run. It must describe the same fabric, technology and
 	// routing options as this config (build it with BuildRouteGraph);
-	// Run resets its occupancy and tie-break rng, so results are
+	// Sim.Run resets its occupancy and tie-break rng, so results are
 	// bit-identical to a fresh graph while its route cache and
 	// buffers stay warm. A graph must not be shared by concurrent
 	// runs — give each worker its own. A Sim reused across runs keeps
@@ -128,9 +124,9 @@ type Config struct {
 	RouteGraph *routegraph.Graph
 }
 
-// BuildRouteGraph constructs the routing graph exactly as Run would,
-// for callers that execute many runs over one config (MVFB,
-// Monte-Carlo) and want to reuse it via Config.RouteGraph.
+// BuildRouteGraph constructs the routing graph exactly as a Sim
+// would, for callers that want to share one graph between several
+// sequential Sims via Config.RouteGraph.
 func (c *Config) BuildRouteGraph() *routegraph.Graph {
 	return routegraph.New(c.Fabric, c.Tech, routegraph.Options{
 		TurnAware: c.TurnAware, TieSeed: c.TieSeed, Landmarks: c.Landmarks,
@@ -232,24 +228,6 @@ type Result struct {
 	// IssueOrder is the realized total order S of instruction issue.
 	IssueOrder []int
 	Stats      Stats
-}
-
-// Run executes the graph on the fabric from the given initial
-// placement and returns the complete solution.
-//
-// Run is the one-shot compatibility wrapper around Sim: it builds a
-// fresh simulator per call and always captures the trace (ignoring
-// cfg.CollectTrace), exactly the pre-Sim behaviour. Callers running
-// many mappings should hold a Sim per worker instead — its event
-// queue, search state, routing graph and trace storage stay warm
-// across runs.
-func Run(g *qidg.Graph, cfg Config, initial Placement) (*Result, error) {
-	cfg.CollectTrace = true
-	s := NewSim()
-	// The Sim dies with this call, so the Result can own the pooled
-	// trace directly instead of paying for a clone.
-	s.donateTrace = true
-	return s.Run(g, cfg, initial)
 }
 
 // instPlan is the routing plan of one two-qubit instruction. The

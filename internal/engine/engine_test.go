@@ -56,6 +56,13 @@ func qsprConfig(f *fabric.Fabric) Config {
 	}
 }
 
+// run maps g once on a fresh Sim with trace capture on: the cold
+// reference the reuse, fork and fingerprint tests compare against.
+func run(g *qidg.Graph, cfg Config, initial Placement) (*Result, error) {
+	cfg.CollectTrace = true
+	return NewSim().Run(g, cfg, initial)
+}
+
 func centerPlacement(f *fabric.Fabric, n int) Placement {
 	order := f.TrapsByDistance(f.Center())
 	p := make(Placement, n)
@@ -67,7 +74,7 @@ func TestRunFig3OnQuale(t *testing.T) {
 	g := graphOf(t, fig3)
 	f := fabric.Quale4585()
 	cfg := qsprConfig(f)
-	res, err := Run(g, cfg, centerPlacement(f, g.NumQubits))
+	res, err := run(g, cfg, centerPlacement(f, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestRunFig3OnQuale(t *testing.T) {
 func TestIssueOrderTopological(t *testing.T) {
 	g := graphOf(t, fig3)
 	f := fabric.Quale4585()
-	res, err := Run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
+	res, err := run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +123,11 @@ func TestDeterminism(t *testing.T) {
 	cfg := qsprConfig(f)
 	cfg.TieSeed = 42
 	p := centerPlacement(f, g.NumQubits)
-	a, err := Run(g, cfg, p)
+	a, err := run(g, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, cfg, p)
+	b, err := run(g, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestDeterminism(t *testing.T) {
 func TestOneQubitChainNoRouting(t *testing.T) {
 	g := graphOf(t, "QUBIT a,0\nH a\nX a\nS a\n")
 	f := fabric.Small()
-	res, err := Run(g, qsprConfig(f), centerPlacement(f, 1))
+	res, err := run(g, qsprConfig(f), centerPlacement(f, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestTwoQubitSameTrapNoRouting(t *testing.T) {
 	g := graphOf(t, "QUBIT a,0\nQUBIT b,0\nC-X a,b\n")
 	f := fabric.Small()
 	p := Placement{3, 3} // both in trap 3
-	res, err := Run(g, qsprConfig(f), p)
+	res, err := run(g, qsprConfig(f), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +197,7 @@ func TestTwoQubitNeighborTraps(t *testing.T) {
 		t.Skip("no neighbor trap pair")
 	}
 	g := graphOf(t, "QUBIT a,0\nQUBIT b,0\nC-X a,b\n")
-	res, err := Run(g, qsprConfig(f), Placement{a, b})
+	res, err := run(g, qsprConfig(f), Placement{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +212,7 @@ func TestBothOperandsEndInTargetTrap(t *testing.T) {
 	// Far-apart initial placement.
 	ta := f.TrapsByDistance(fabric.Pos{Row: 0, Col: 0})[0]
 	tb := f.TrapsByDistance(fabric.Pos{Row: 44, Col: 84})[0]
-	res, err := Run(g, qsprConfig(f), Placement{ta, tb})
+	res, err := run(g, qsprConfig(f), Placement{ta, tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +238,7 @@ func TestSingleMoveModeUsesDestinationTrap(t *testing.T) {
 	cfg := qsprConfig(f)
 	cfg.BothMove = false
 	cfg.MedianTarget = false
-	res, err := Run(g, cfg, Placement{ta, tb})
+	res, err := run(g, cfg, Placement{ta, tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +255,14 @@ func TestBothMoveBeatsSingleMoveOnFarPair(t *testing.T) {
 	f := fabric.Quale4585()
 	ta := f.TrapsByDistance(fabric.Pos{Row: 0, Col: 0})[0]
 	tb := f.TrapsByDistance(fabric.Pos{Row: 44, Col: 84})[0]
-	both, err := Run(g, qsprConfig(f), Placement{ta, tb})
+	both, err := run(g, qsprConfig(f), Placement{ta, tb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := qsprConfig(f)
 	cfg.BothMove = false
 	cfg.MedianTarget = false
-	single, err := Run(g, cfg, Placement{ta, tb})
+	single, err := run(g, cfg, Placement{ta, tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +276,12 @@ func TestForcedOrderReplaysExactly(t *testing.T) {
 	f := fabric.Quale4585()
 	cfg := qsprConfig(f)
 	p := centerPlacement(f, g.NumQubits)
-	first, err := Run(g, cfg, p)
+	first, err := run(g, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ForcedOrder = first.IssueOrder
-	second, err := Run(g, cfg, p)
+	second, err := run(g, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +297,7 @@ func TestBackwardRunOnReversedGraph(t *testing.T) {
 	f := fabric.Quale4585()
 	cfg := qsprConfig(f)
 	p := centerPlacement(f, g.NumQubits)
-	fwd, err := Run(g, cfg, p)
+	fwd, err := run(g, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +308,7 @@ func TestBackwardRunOnReversedGraph(t *testing.T) {
 	}
 	bcfg := cfg
 	bcfg.ForcedOrder = order
-	bwd, err := Run(rev, bcfg, fwd.Final)
+	bwd, err := run(rev, bcfg, fwd.Final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,18 +324,18 @@ func TestPlacementValidation(t *testing.T) {
 	g := graphOf(t, fig3)
 	f := fabric.Small()
 	cfg := qsprConfig(f)
-	if _, err := Run(g, cfg, Placement{0, 1}); err == nil {
+	if _, err := run(g, cfg, Placement{0, 1}); err == nil {
 		t.Error("short placement accepted")
 	}
-	if _, err := Run(g, cfg, Placement{0, 1, 2, 3, 999}); err == nil {
+	if _, err := run(g, cfg, Placement{0, 1, 2, 3, 999}); err == nil {
 		t.Error("out-of-range trap accepted")
 	}
-	if _, err := Run(g, cfg, Placement{0, 0, 0, 1, 2}); err == nil {
+	if _, err := run(g, cfg, Placement{0, 0, 0, 1, 2}); err == nil {
 		t.Error("overloaded trap accepted")
 	}
 	bad := cfg
 	bad.Fabric = nil
-	if _, err := Run(g, bad, Placement{0, 1, 2, 3, 4}); err == nil {
+	if _, err := run(g, bad, Placement{0, 1, 2, 3, 4}); err == nil {
 		t.Error("nil fabric accepted")
 	}
 }
@@ -336,7 +343,7 @@ func TestPlacementValidation(t *testing.T) {
 func TestStatsConsistentWithTrace(t *testing.T) {
 	g := graphOf(t, fig3)
 	f := fabric.Quale4585()
-	res, err := Run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
+	res, err := run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +377,7 @@ func TestStatsConsistentWithTrace(t *testing.T) {
 func TestGateDelayStat(t *testing.T) {
 	g := graphOf(t, fig3)
 	f := fabric.Quale4585()
-	res, err := Run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
+	res, err := run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +411,7 @@ C-Z c,e
 `
 	g := graphOf(t, src)
 	fb := fabric.Small() // 8 traps, 6 qubits
-	res, err := Run(g, qsprConfig(fb), centerPlacement(fb, g.NumQubits))
+	res, err := run(g, qsprConfig(fb), centerPlacement(fb, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +432,7 @@ func TestCapacityOneStillCompletes(t *testing.T) {
 	cfg.BothMove = false
 	cfg.MedianTarget = false
 	cfg.Policy = sched.QUALEALAP
-	res, err := Run(g, cfg, centerPlacement(f, g.NumQubits))
+	res, err := run(g, cfg, centerPlacement(f, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +469,7 @@ C-X a,b
 `
 	g := graphOf(t, src)
 	p := Placement{0, 1, 0, 1, 2, 2, 3, 3, 4, 5, 6, 7}
-	res, err := Run(g, qsprConfig(f), p)
+	res, err := run(g, qsprConfig(f), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +489,7 @@ C-X a,b
 func TestNoEvictionsOnRoomyFabric(t *testing.T) {
 	g := graphOf(t, fig3)
 	f := fabric.Quale4585()
-	res, err := Run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
+	res, err := run(g, qsprConfig(f), centerPlacement(f, g.NumQubits))
 	if err != nil {
 		t.Fatal(err)
 	}

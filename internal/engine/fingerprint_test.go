@@ -94,7 +94,7 @@ func TestEngineFingerprintsPinned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := qsprConfig(tc.f)
 			p := centerPlacement(tc.f, tc.g.NumQubits)
-			fwd, err := Run(tc.g, cfg, p)
+			fwd, err := run(tc.g, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestEngineFingerprintsPinned(t *testing.T) {
 			}
 			bcfg := cfg
 			bcfg.ForcedOrder = order
-			bwd, err := Run(rev, bcfg, fwd.Final)
+			bwd, err := run(rev, bcfg, fwd.Final)
 			if err != nil {
 				t.Fatal(err)
 			}

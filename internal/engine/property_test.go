@@ -81,7 +81,7 @@ func TestPropertyRandomMappings(t *testing.T) {
 			cfg.Tech.ChannelCapacity = 1
 			cfg.Tech.JunctionCapacity = 1
 		}
-		res, err := Run(g, cfg, randomPlacement(rng, f, nq))
+		res, err := run(g, cfg, randomPlacement(rng, f, nq))
 		if err != nil {
 			t.Fatalf("trial %d (%d qubits, %d gates, policy %v, cap %d): %v",
 				trial, nq, ng, cfg.Policy, cfg.Tech.ChannelCapacity, err)
@@ -134,7 +134,7 @@ func TestPropertyTinyFabricHighPressure(t *testing.T) {
 			TurnAware: true, BothMove: true, MedianTarget: true,
 			TieSeed: int64(trial),
 		}
-		res, err := Run(g, cfg, p)
+		res, err := run(g, cfg, p)
 		if err != nil {
 			t.Fatalf("trial %d (%d qubits): %v", trial, nq, err)
 		}

@@ -20,11 +20,11 @@ func TestRouteGraphReuseBitIdentical(t *testing.T) {
 	shared.RouteGraph = shared.BuildRouteGraph()
 
 	for round := 0; round < 3; round++ {
-		a, err := Run(g, fresh, p)
+		a, err := run(g, fresh, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(g, shared, p)
+		b, err := run(g, shared, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestRouteGraphMismatchRejected(t *testing.T) {
 	wrong := qsprConfig(f)
 	wrong.Tech.ChannelCapacity = 1
 	cfg.RouteGraph = wrong.BuildRouteGraph()
-	if _, err := Run(g, cfg, p); err == nil {
+	if _, err := run(g, cfg, p); err == nil {
 		t.Error("mismatched Tech accepted")
 	}
 
@@ -75,7 +75,7 @@ func TestRouteGraphMismatchRejected(t *testing.T) {
 	blind := qsprConfig(f)
 	blind.TurnAware = false
 	cfg.RouteGraph = blind.BuildRouteGraph()
-	if _, err := Run(g, cfg, p); err == nil {
+	if _, err := run(g, cfg, p); err == nil {
 		t.Error("mismatched TurnAware accepted")
 	}
 }

@@ -104,12 +104,6 @@ type Sim struct {
 	stats   Stats
 	done    int
 
-	// donateTrace makes Run hand the pooled trace itself to the
-	// Result instead of cloning it — valid only when the Sim is
-	// discarded afterwards (the one-shot Run wrapper), since the next
-	// Reset would corrupt the donated trace.
-	donateTrace bool
-
 	// Checkpoint/fork state (checkpoint.go). runGen stamps every Reset
 	// so outstanding checkpoints of earlier runs are detected (and
 	// rejected with a state-intact error) instead of silently restored
@@ -194,11 +188,7 @@ func (s *Sim) finishRun(initial Placement) (*Result, error) {
 	}
 	if s.collect {
 		s.tr.Sort()
-		if s.donateTrace {
-			res.Trace = &s.tr
-		} else {
-			res.Trace = s.tr.Clone()
-		}
+		res.Trace = s.tr.Clone()
 	}
 	return res, nil
 }

@@ -46,7 +46,7 @@ func traceJSON(t *testing.T, tr *trace.Trace) []byte {
 
 // TestSimReuseFingerprintIdentical is the satellite reuse matrix: one
 // Sim driven through 3 consecutive Reset+run cycles on two circuits ×
-// both fabrics must reproduce the one-shot engine.Run result —
+// both fabrics must reproduce the fresh-Sim reference run —
 // fingerprint-identical including trace bytes — on every cycle, even
 // though every cycle recycles the queue, the ready heap, the routing
 // graph and the trace storage, and the graph/fabric change between
@@ -58,7 +58,7 @@ func TestSimReuseFingerprintIdentical(t *testing.T) {
 			cfg := qsprConfig(tc.f)
 			cfg.CollectTrace = true
 			p := centerPlacement(tc.f, tc.g.NumQubits)
-			want, err := Run(tc.g, cfg, p) // fresh one-shot reference
+			want, err := run(tc.g, cfg, p) // fresh-Sim reference
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestRunEventLimitSentinel(t *testing.T) {
 	f := fabric.Quale4585()
 	cfg := qsprConfig(f)
 	cfg.MaxEvents = 3 // far too few for fig3
-	_, err := Run(g, cfg, centerPlacement(f, g.NumQubits))
+	_, err := run(g, cfg, centerPlacement(f, g.NumQubits))
 	if err == nil {
 		t.Fatal("event-starved run succeeded")
 	}
@@ -227,7 +227,7 @@ func TestSimRouteGraphRebuildOnConfigChange(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, cfg := range []Config{aware, blind} {
 			p := centerPlacement(f, g.NumQubits)
-			want, err := Run(g, cfg, p)
+			want, err := run(g, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}

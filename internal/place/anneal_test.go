@@ -13,8 +13,7 @@ import (
 
 // TestAnnealDeterministic pins the annealer's determinism contract:
 // the complete solution — result, provenance, serialized trace bytes —
-// is identical for any Workers value AND with incremental re-simulation
-// disabled, on two circuits × both fabrics.
+// is identical for any Workers value, on two circuits × both fabrics.
 func TestAnnealDeterministic(t *testing.T) {
 	for _, tc := range innerParallelCases(t) {
 		tc := tc
@@ -31,8 +30,6 @@ func TestAnnealDeterministic(t *testing.T) {
 			}{
 				{"workers=2", AnnealOptions{Moves: 60, Restarts: 3, Seed: 7, Workers: 2}},
 				{"workers=4", AnnealOptions{Moves: 60, Restarts: 3, Seed: 7, Workers: 4}},
-				{"no-incremental", AnnealOptions{Moves: 60, Restarts: 3, Seed: 7, NoIncremental: true}},
-				{"no-incremental/workers=4", AnnealOptions{Moves: 60, Restarts: 3, Seed: 7, Workers: 4, NoIncremental: true}},
 			}
 			for _, v := range variants {
 				got, err := Anneal(tc.g, tc.cfg, v.opts)
@@ -62,7 +59,7 @@ func TestAnnealNeverWorseThanCenter(t *testing.T) {
 	for _, tc := range innerParallelCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			center, err := centerSolution(tc.g, tc.cfg)
+			center, err := centerSolution(tc.g, tc.cfg, engine.NewSim())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +81,7 @@ func TestAnnealNeverWorseThanCenter(t *testing.T) {
 func TestAnnealBeatsCenterOnQuale(t *testing.T) {
 	g := fig3Graph(t)
 	cfg := qsprConfig(fabric.Quale4585())
-	center, err := centerSolution(g, cfg)
+	center, err := centerSolution(g, cfg, engine.NewSim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +123,7 @@ func TestMVFBIncrementalByteIdentical(t *testing.T) {
 				{"workers=1", 1, nil},
 				{"workers=1/warm-sim", 1, warm},
 				{"workers=4", 4, nil},
+				{"workers=4/warm-sim", 4, warm},
 			}
 			for _, v := range variants {
 				opts := base
@@ -153,7 +151,7 @@ func TestMVFBIncrementalByteIdentical(t *testing.T) {
 }
 
 // coldMVFB is the reference for TestMVFBIncrementalByteIdentical: the
-// sequential ScopeGlobal protocol of §IV.A written out directly, with
+// sequential global-patience protocol of §IV.A written out directly, with
 // every forward and backward run on a fresh Sim and its trace
 // captured as it runs.
 func coldMVFB(t *testing.T, g *qidg.Graph, cfg engine.Config, opts MVFBOptions) *Solution {
@@ -223,11 +221,11 @@ func TestPortfolioWithAnnealEntrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MonteCarlo(g, cfg, 2*mvfbOpts.Seeds, mvfbOpts.Seed)
+	mc, err := MonteCarlo(g, cfg, 2*mvfbOpts.Seeds, mvfbOpts.Seed, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	center, err := centerSolution(g, cfg)
+	center, err := centerSolution(g, cfg, engine.NewSim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +266,9 @@ func TestPortfolioWithAnnealEntrant(t *testing.T) {
 	}
 }
 
-// TestAnnealWarmSim: a caller-supplied warm simulator is used for the
-// sequential search and winner replay without changing the result.
+// TestAnnealWarmSim: a caller-supplied warm simulator serves the
+// first worker and the winner replay without changing the result,
+// sequentially and beside a second worker.
 func TestAnnealWarmSim(t *testing.T) {
 	g := fig3Graph(t)
 	cfg := qsprConfig(fabric.Small())
@@ -278,11 +277,13 @@ func TestAnnealWarmSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := engine.NewSim()
-	got, err := Anneal(g, cfg, AnnealOptions{Moves: 40, Restarts: 2, Seed: 3, Sim: sim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Result, want.Result) {
-		t.Error("warm-Sim anneal diverges")
+	for _, workers := range []int{1, 2} {
+		got, err := Anneal(g, cfg, AnnealOptions{Moves: 40, Restarts: 2, Seed: 3, Workers: workers, Sim: sim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Result, want.Result) {
+			t.Errorf("workers=%d: warm-Sim anneal diverges", workers)
+		}
 	}
 }

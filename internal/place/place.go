@@ -18,11 +18,10 @@
 //     concurrently on one mapping, best by (latency, placer rank) —
 //     portfolio-style parallel search in the spirit of DateSAT.
 //
-// MVFB's starts, Monte-Carlo's trials and the portfolio's placers
-// all fan across bounded worker pools (MVFBOptions.Workers,
-// MonteCarloParallel, PortfolioOptions.Workers) with results
-// bit-identical to the sequential search at any worker count; the
-// determinism model is documented in docs/CONCURRENCY.md.
+// MVFB's starts, Monte-Carlo's trials, the annealer's restarts and the
+// portfolio's placers all run through one worker fan-out (fanOut)
+// with results bit-identical to the sequential search at any worker
+// count; the determinism model is documented in docs/CONCURRENCY.md.
 package place
 
 import (
@@ -66,6 +65,35 @@ func CenterPermutation(f *fabric.Fabric, numQubits int, rng *rand.Rand) (engine.
 	return p, nil
 }
 
+// CenterRun maps g once from the Center placement on sim, with trace
+// capture on. It is the whole placement flow of the one-shot mappers
+// whose trace is the deliverable: QUALE, QPOS, QSPR-center and the
+// portfolio's Center entrant.
+func CenterRun(g *qidg.Graph, cfg engine.Config, sim *engine.Sim) (*engine.Result, error) {
+	p, err := Center(cfg.Fabric, g.NumQubits)
+	if err != nil {
+		return nil, err
+	}
+	cfg.CollectTrace = true
+	return sim.Run(g, cfg, p)
+}
+
+// drawStarts draws n center permutations up front from one stream:
+// start i's randomness is a pure function of (seed, i), so neither the
+// worker count nor the work distribution can change what is searched.
+func drawStarts(f *fabric.Fabric, numQubits, n int, seed int64) ([]engine.Placement, error) {
+	rng := rand.New(rand.NewSource(seed))
+	starts := make([]engine.Placement, n)
+	for i := range starts {
+		p, err := CenterPermutation(f, numQubits, rng)
+		if err != nil {
+			return nil, err
+		}
+		starts[i] = p
+	}
+	return starts, nil
+}
+
 // Solution is a placed-and-routed mapping result with provenance.
 type Solution struct {
 	// Result is the winning engine run. For a backward winner the
@@ -84,51 +112,87 @@ type Solution struct {
 	Iteration int
 }
 
+// fanOut runs job(w, sim, cfg, i) for every index i in [0, n) on
+// min(workers, n) workers that pull the indices in increasing order.
+// Worker 0 runs on the calling goroutine with warm — a fresh Sim when
+// warm is nil — and cfg as given. Every other worker runs on its own
+// goroutine with a fresh Sim and cfg.RouteGraph = nil, since a Sim or
+// a route graph must never serve two runs at once.
+//
+// After job fails at some index, the indices above the lowest failing
+// index are skipped and the indices below it still run, so the error
+// returned is that lowest index's: the error a sequential loop stops
+// at, for any worker count. fanOut returns worker 0's Sim, which is
+// free again for the caller's winner replay.
+func fanOut(n, workers int, cfg engine.Config, warm *engine.Sim,
+	job func(w int, sim *engine.Sim, cfg engine.Config, i int) error) (*engine.Sim, error) {
+
+	if warm == nil {
+		warm = engine.NewSim()
+	}
+	var next atomic.Int64
+	var mu sync.Mutex
+	failAt, failErr := n, error(nil)
+	work := func(w int, sim *engine.Sim, cfg engine.Config) {
+		for {
+			i := int(next.Add(1) - 1)
+			mu.Lock()
+			skip := i >= n || i > failAt
+			mu.Unlock()
+			if skip {
+				return
+			}
+			if err := job(w, sim, cfg, i); err != nil {
+				mu.Lock()
+				if i < failAt {
+					failAt, failErr = i, err
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	wcfg := cfg
+	wcfg.RouteGraph = nil
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w, engine.NewSim(), wcfg)
+		}()
+	}
+	work(0, warm, cfg)
+	wg.Wait()
+	return warm, failErr
+}
+
 // MonteCarlo routes the program from `runs` random center-placement
 // permutations and returns the best solution (§V.A's MC placer).
-// It is MonteCarloParallel with a single worker.
-func MonteCarlo(g *qidg.Graph, cfg engine.Config, runs int, seed int64) (*Solution, error) {
-	return MonteCarloParallel(g, cfg, runs, seed, 1)
-}
-
-// MonteCarloParallel is MonteCarlo with the trials fanned across a
-// bounded worker pool. Every trial's placement is drawn up front from
-// one stream — trial i's randomness is a pure function of (seed, i) —
-// and the winner is reduced by (latency, trial index), so the result
-// is bit-identical to the sequential placer for any worker count.
 //
-// Each worker owns one reusable engine.Sim (event queue, search
-// state, routing graph and trace storage warm across its trials) and
-// runs every trial traceless; only the winning trial is re-run with
-// capture on, which determinism makes byte-identical to a trace
-// recorded during the sweep.
-func MonteCarloParallel(g *qidg.Graph, cfg engine.Config, runs int, seed int64, workers int) (*Solution, error) {
-	return MonteCarloWarm(g, cfg, runs, seed, workers, nil)
-}
-
-// MonteCarloWarm is MonteCarloParallel with a caller-owned warm
-// simulator serving the sequential trial loop (workers <= 1) and the
-// winner replay, so long-lived callers (core.Mapper, the qsprd
+// The trials fan across `workers` workers (0 or 1 = sequential). The
+// winner is reduced by (latency, trial index), so the result is
+// bit-identical to the sequential placer for any worker count. Every
+// trial runs traceless; only the winning trial is re-run with capture
+// on, which determinism makes byte-identical to a trace recorded
+// during the sweep.
+//
+// sim optionally supplies a caller-owned warm simulator for worker 0
+// and the winner replay, so long-lived callers (core.Mapper, the qsprd
 // service workers) keep one Sim — route graph included — warm across
 // whole mappings. The Sim ownership rules of docs/CONCURRENCY.md
-// apply; results are bit-identical to a fresh Sim. A nil sim is
-// exactly MonteCarloParallel.
-func MonteCarloWarm(g *qidg.Graph, cfg engine.Config, runs int, seed int64, workers int, sim *engine.Sim) (*Solution, error) {
+// apply; results are bit-identical to a fresh Sim.
+func MonteCarlo(g *qidg.Graph, cfg engine.Config, runs int, seed int64, workers int, sim *engine.Sim) (*Solution, error) {
 	out, err := monteCarloSearch(g, cfg, runs, seed, workers, sim)
 	if err != nil {
 		return nil, err
 	}
-	if err := captureWinner(g, out.rev, cfg, out.sol, out.forced, out.sim); err != nil {
-		return nil, err
-	}
-	return out.sol, nil
+	return captureWinner(g, cfg, out)
 }
 
 // searchOutcome is a traceless search result awaiting deferred
 // capture: the solution, the forced order its winning run was issued
 // with (nil for policy-scheduled runs), the reversed graph a backward
-// winner must replay on, and — for sequential searches — the warm Sim
-// to replay with.
+// winner must replay on, and the Sim to replay with.
 type searchOutcome struct {
 	sol    *Solution
 	forced []int
@@ -137,21 +201,15 @@ type searchOutcome struct {
 }
 
 // monteCarloSearch runs the Monte-Carlo trials traceless and returns
-// the winner WITHOUT its trace; MonteCarloParallel (and the portfolio,
-// which captures only the race winner) finish it with captureWinner.
+// the winner WITHOUT its trace; MonteCarlo (and the portfolio, which
+// captures only the race winner) finish it with captureWinner.
 func monteCarloSearch(g *qidg.Graph, cfg engine.Config, runs int, seed int64, workers int, warm *engine.Sim) (searchOutcome, error) {
-	var out searchOutcome
 	if runs <= 0 {
-		return out, fmt.Errorf("place: MonteCarlo needs at least 1 run, got %d", runs)
+		return searchOutcome{}, fmt.Errorf("place: MonteCarlo needs at least 1 run, got %d", runs)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	placements := make([]engine.Placement, runs)
-	for i := range placements {
-		p, err := CenterPermutation(cfg.Fabric, g.NumQubits, rng)
-		if err != nil {
-			return out, err
-		}
-		placements[i] = p
+	placements, err := drawStarts(cfg.Fabric, g.NumQubits, runs, seed)
+	if err != nil {
+		return searchOutcome{}, err
 	}
 	scfg := cfg
 	scfg.CollectTrace = false
@@ -159,147 +217,67 @@ func monteCarloSearch(g *qidg.Graph, cfg engine.Config, runs int, seed int64, wo
 		result *engine.Result
 		trial  int
 	}
-	better := func(a candidate, b candidate) bool {
-		return b.result == nil || a.result.Latency < b.result.Latency ||
-			(a.result.Latency == b.result.Latency && a.trial < b.trial)
+	// Each worker pulls its trials in increasing order, so its first
+	// strict minimum is its (latency, trial)-minimal candidate; the
+	// reduce across workers applies the same order.
+	bests := make([]candidate, max(min(workers, runs), 1))
+	sim, err := fanOut(runs, workers, scfg, warm, func(w int, sim *engine.Sim, cfg engine.Config, i int) error {
+		res, err := sim.Run(g, cfg, placements[i])
+		if err != nil {
+			return err
+		}
+		if b := &bests[w]; b.result == nil || res.Latency < b.result.Latency {
+			*b = candidate{result: res, trial: i}
+		}
+		return nil
+	})
+	if err != nil {
+		return searchOutcome{}, err
 	}
-	best := candidate{trial: -1}
-	var seqSim *engine.Sim // sequential path's warm Sim, reused for the winner replay
-	if workers <= 1 || runs == 1 {
-		// One Sim for the whole sweep: its routing graph (CSR arrays,
-		// search state, uncongested route cache) and simulator pools
-		// stay warm across trials. A caller-owned warm Sim extends
-		// that reuse across whole mappings.
-		sim := warm
-		if sim == nil {
-			sim = engine.NewSim()
-		}
-		seqSim = sim
-		for i, p := range placements {
-			res, err := sim.Run(g, scfg, p)
-			if err != nil {
-				return out, err
-			}
-			if c := (candidate{result: res, trial: i}); better(c, best) {
-				best = c
-			}
-		}
-	} else {
-		if workers > runs {
-			workers = runs
-		}
-		// Each worker keeps only its own (latency, trial index)-minimal
-		// candidate; the final reduce across workers applies the same
-		// order, reproducing the sequential first-strict-minimum winner.
-		cands := make([]candidate, workers)
-		errs := make([]error, workers)
-		work := make(chan int)
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(self int) {
-				defer wg.Done()
-				// The Sim (and its routing graph) is mutable, so each
-				// worker owns one, reused across its trials.
-				wcfg := scfg
-				wcfg.RouteGraph = nil
-				sim := engine.NewSim()
-				wbest := candidate{trial: -1}
-				for i := range work {
-					// Once any worker failed the call returns an error;
-					// drain the channel without doing the doomed work.
-					if failed.Load() {
-						continue
-					}
-					res, err := sim.Run(g, wcfg, placements[i])
-					if err != nil {
-						errs[self] = err
-						failed.Store(true)
-						continue
-					}
-					if c := (candidate{result: res, trial: i}); better(c, wbest) {
-						wbest = c
-					}
-				}
-				cands[self] = wbest
-			}(w)
-		}
-		for i := range placements {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return out, err
-			}
-		}
-		for _, c := range cands {
-			if c.result != nil && better(c, best) {
-				best = c
-			}
+	var best candidate
+	for _, c := range bests {
+		if c.result != nil && (best.result == nil || c.result.Latency < best.result.Latency ||
+			c.result.Latency == best.result.Latency && c.trial < best.trial) {
+			best = c
 		}
 	}
-	out.sol = &Solution{Result: best.result, Runs: runs, Seed: best.trial}
 	// The trials ran under the caller's scheduling knobs, so the
 	// winner replays under exactly the caller's ForcedOrder (if any).
-	out.forced = cfg.ForcedOrder
-	out.sim = seqSim
-	if out.sim == nil {
-		out.sim = warm
-	}
-	return out, nil
+	return searchOutcome{
+		sol:    &Solution{Result: best.result, Runs: runs, Seed: best.trial},
+		forced: cfg.ForcedOrder,
+		sim:    sim,
+	}, nil
 }
-
-// PatienceScope selects what a "non-improving run" is measured
-// against when deciding to stop a seed's neighborhood search.
-type PatienceScope uint8
-
-const (
-	// ScopeGlobal stops a seed after Patience consecutive runs that
-	// fail to improve the best solution found by ANY seed so far.
-	// This reproduces the paper's realized placement-run counts
-	// (~3.5 runs per seed at patience 3) and is the default.
-	ScopeGlobal PatienceScope = iota
-	// ScopeSeed stops a seed after Patience consecutive runs that
-	// fail to improve that seed's own best. Seeds become fully
-	// independent, enabling parallel search.
-	ScopeSeed
-)
 
 // MVFBOptions configures the MVFB placer.
 type MVFBOptions struct {
 	// Seeds is m, the number of random center placements to start
 	// neighborhood searches from.
 	Seeds int
-	// Patience is the number of consecutive non-improving placement
-	// runs after which a seed's search stops. The paper uses 3.
+	// Patience is the number of consecutive runs that fail to improve
+	// the best solution found by any seed so far, after which a seed's
+	// search stops. The paper uses 3.
 	Patience int
-	// PatienceScope selects the improvement reference (see the
-	// constants). ScopeGlobal matches the paper's protocol.
-	PatienceScope PatienceScope
 	// MaxRunsPerSeed bounds one seed's search (0 = 50 runs).
 	MaxRunsPerSeed int
 	// Seed seeds the random permutations.
 	Seed int64
 	// Workers runs that many start searches concurrently (0 or 1 =
-	// sequential). Valid under either PatienceScope: the winner is
-	// reduced by the (latency, start index) order of the sequential
-	// protocol, so the result — including the realized run count — is
-	// bit-identical to Workers == 1 for any worker count. See
-	// docs/CONCURRENCY.md for the speculative-trajectory mechanism
-	// that makes this true even for ScopeGlobal.
+	// sequential). The winner is reduced by the (latency, start index)
+	// order of the sequential protocol, so the result — including the
+	// realized run count — is bit-identical to Workers == 1 for any
+	// worker count. See docs/CONCURRENCY.md for the
+	// speculative-trajectory mechanism that makes this true.
 	Workers int
 	// Sim optionally supplies a caller-owned warm simulator for the
-	// sequential search path (Workers <= 1) and the winner replay, so
-	// long-lived callers (core.Mapper, the qsprd service workers) keep
-	// one Sim — and its route graph, rebuilt transparently on
-	// routing-config change — warm across whole mappings. Per the Sim
-	// ownership rules in docs/CONCURRENCY.md it must not be touched by
-	// anything else while the search runs; results are bit-identical
-	// to a fresh Sim. With Workers > 1 the search workers own private
-	// Sims as always and this one serves only the winner replay.
+	// first search worker and the winner replay, so long-lived callers
+	// (core.Mapper, the qsprd service workers) keep one Sim — and its
+	// route graph, rebuilt transparently on routing-config change —
+	// warm across whole mappings. Per the Sim ownership rules in
+	// docs/CONCURRENCY.md it must not be touched by anything else while
+	// the search runs; results are bit-identical to a fresh Sim. Any
+	// further workers own private Sims.
 	Sim *engine.Sim
 }
 
@@ -328,19 +306,15 @@ func MVFB(g *qidg.Graph, cfg engine.Config, opts MVFBOptions) (*Solution, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := captureWinner(g, out.rev, cfg, out.sol, out.forced, out.sim); err != nil {
-		return nil, err
-	}
-	return out.sol, nil
+	return captureWinner(g, cfg, out)
 }
 
 // mvfbSearch runs the whole MVFB search traceless and returns the
 // winner WITHOUT its trace; MVFB (and the portfolio, which captures
 // only the race winner) finish it with captureWinner.
 func mvfbSearch(g *qidg.Graph, cfg engine.Config, opts MVFBOptions) (searchOutcome, error) {
-	var out searchOutcome
 	if opts.Seeds <= 0 {
-		return out, fmt.Errorf("place: MVFB needs at least 1 seed")
+		return searchOutcome{}, fmt.Errorf("place: MVFB needs at least 1 seed")
 	}
 	if opts.Patience <= 0 {
 		opts.Patience = 3
@@ -348,222 +322,131 @@ func mvfbSearch(g *qidg.Graph, cfg engine.Config, opts MVFBOptions) (searchOutco
 	if opts.MaxRunsPerSeed <= 0 {
 		opts.MaxRunsPerSeed = 50
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	if opts.Workers > opts.Seeds {
-		opts.Workers = opts.Seeds
-	}
-	// All random start placements are drawn up front from one stream:
-	// start i's randomness is a pure function of (opts.Seed, i), so
-	// neither the worker count nor the work distribution can change
-	// which placements are searched.
-	rng := rand.New(rand.NewSource(opts.Seed))
-	starts := make([]engine.Placement, opts.Seeds)
-	for i := range starts {
-		p, err := CenterPermutation(cfg.Fabric, g.NumQubits, rng)
-		if err != nil {
-			return out, err
-		}
-		starts[i] = p
+	starts, err := drawStarts(cfg.Fabric, g.NumQubits, opts.Seeds, opts.Seed)
+	if err != nil {
+		return searchOutcome{}, err
 	}
 	rev := g.Reverse()
-
-	trajs := make([][]runRecord, opts.Seeds)
-	var seqSim *engine.Sim // sequential path's warm Sim, reused for the winner replay
-	if opts.Workers == 1 {
-		// One reusable Sim serves the whole sequential search: its
-		// routing graph (CSR arrays, uncongested route cache), event
-		// queue and simulator pools stay warm across every run. A
-		// caller-owned warm Sim (opts.Sim) extends that reuse across
-		// whole mappings.
-		sim := opts.Sim
-		if sim == nil {
-			sim = engine.NewSim()
-		}
-		seqSim = sim
-		// Under ScopeGlobal the prior starts' best is threaded into
-		// each search as its improvement bound, so the sequential path
-		// runs exactly the paper protocol with no speculative runs.
-		rb := &replayBound{patience: opts.Patience}
-		var hint boundFunc
-		if opts.PatienceScope == ScopeGlobal {
-			hint = rb.get
-		}
-		for seed := range starts {
-			t, err := searchTrajectory(g, rev, cfg, starts[seed], opts, hint, sim)
-			if err != nil {
-				return out, err
-			}
-			rb.record(seed, t, trajs)
-		}
-	} else {
-		// Speculative search with an incremental-replay hint: as
-		// trajectories complete in start order, the replay front
-		// advances and publishes the bound the sequential protocol
-		// would have observed; starts still in flight read it (at
-		// every run) to truncate early. The published bound covers a
-		// prefix of the starts before the one searching, so it is
-		// always ≥ the sequential bound — trajectories can only
-		// overshoot the replayed stopping point, never undershoot it.
-		// The final replay stays bit-identical while the wasted
-		// speculative work shrinks.
-		rb := &replayBound{patience: opts.Patience}
-		var hint boundFunc
-		if opts.PatienceScope == ScopeGlobal {
-			hint = rb.get
-		}
-		errs := make([]error, opts.Seeds)
-		work := make(chan int)
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// The Sim (and its routing graph) is mutable, so each
-				// worker owns one, reused across its starts.
-				wcfg := cfg
-				wcfg.RouteGraph = nil
-				sim := engine.NewSim()
-				for seed := range work {
-					// Once any start failed the call returns an error;
-					// drain the channel without searching the rest.
-					if failed.Load() {
-						continue
-					}
-					t, err := searchTrajectory(g, rev, wcfg, starts[seed], opts, hint, sim)
-					if err != nil {
-						errs[seed] = err
-						failed.Store(true)
-						continue
-					}
-					rb.record(seed, t, trajs)
-				}
-			}()
-		}
-		for seed := range starts {
-			work <- seed
-		}
-		close(work)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return out, err
-			}
-		}
-	}
-	var err error
-	if opts.PatienceScope == ScopeGlobal {
-		out.sol, out.forced, err = replayGlobal(trajs, opts.Patience)
-	} else {
-		out.sol, out.forced, err = reduceSeedScope(trajs)
-	}
+	// Every start searches against the replay's published bound. On a
+	// single worker the replay front is always at the start searching,
+	// so the bound is exact and the search runs exactly the paper
+	// protocol with no speculative runs.
+	rb := &replayBound{patience: opts.Patience, trajs: make([][]runRecord, opts.Seeds)}
+	sim, err := fanOut(opts.Seeds, opts.Workers, cfg, opts.Sim, func(_ int, sim *engine.Sim, cfg engine.Config, i int) error {
+		return rb.record(i, searchTrajectory(g, rev, cfg, starts[i], opts, rb, sim))
+	})
 	if err != nil {
-		return out, err
+		return searchOutcome{}, err
 	}
-	out.rev = rev
-	out.sim = seqSim
-	if out.sim == nil {
-		// Parallel search: the workers' Sims are gone, but a caller's
-		// warm Sim can still serve the winner replay.
-		out.sim = opts.Sim
-	}
-	return out, nil
+	best := rb.best
+	return searchOutcome{
+		sol: &Solution{Result: best.result, Backward: best.backward,
+			Runs: rb.runs, Seed: rb.bestStart, Iteration: best.iter},
+		forced: best.forced,
+		rev:    rev,
+		sim:    sim,
+	}, nil
 }
 
-// captureWinner replaces a solution's traceless winning result with a
-// capture-enabled replay of the same run: forward from the winning
-// initial placement, or — for a backward (uncompute) winner — the
-// backward run from its recorded start placement, converted by
-// backwardSolution as the search would have. forced is the exact
-// ForcedOrder the winning run was issued with (nil for a policy-
-// scheduled run); sim, when non-nil, is a caller's warm simulator —
-// the sequential paths pass theirs so the replay reuses the built
-// route graph. Engine runs are deterministic, so the replay is
-// bit-identical to the discarded search run; the cross-check below
-// turns any violation of that contract into an error rather than a
-// silently wrong trace. No-op when the result already has a trace.
-func captureWinner(g, rev *qidg.Graph, cfg engine.Config, sol *Solution, forced []int, sim *engine.Sim) error {
-	if sol.Result == nil || sol.Result.Trace != nil {
-		return nil
-	}
+// captureWinner finishes a traceless search: it replaces the
+// solution's winning result with a capture-enabled replay of the same
+// run on out.sim — forward from the winning initial placement, or, for
+// a backward (uncompute) winner, the backward run from its recorded
+// start placement, converted by backwardSolution as the search would
+// have. out.forced is the exact ForcedOrder the winning run was issued
+// with (nil for a policy-scheduled run). Engine runs are
+// deterministic, so the replay is bit-identical to the discarded
+// search run; the cross-check below turns any violation of that
+// contract into an error rather than a silently wrong trace.
+func captureWinner(g *qidg.Graph, cfg engine.Config, out searchOutcome) (*Solution, error) {
+	sol := out.sol
 	ccfg := cfg
 	ccfg.CollectTrace = true
-	ccfg.ForcedOrder = forced
-	if sim == nil {
-		sim = engine.NewSim()
-	}
+	ccfg.ForcedOrder = out.forced
 	var res *engine.Result
 	var err error
 	if sol.Backward {
 		// The reported (converted) solution swapped Initial/Final, so
 		// the backward run started from the reported Final.
-		res, err = sim.Run(rev, ccfg, sol.Result.Final)
+		res, err = out.sim.Run(out.rev, ccfg, sol.Result.Final)
 		if err == nil {
 			res = backwardSolution(res)
 		}
 	} else {
-		res, err = sim.Run(g, ccfg, sol.Result.Initial)
+		res, err = out.sim.Run(g, ccfg, sol.Result.Initial)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if res.Latency != sol.Result.Latency || res.Stats != sol.Result.Stats ||
 		!slices.Equal(res.IssueOrder, sol.Result.IssueOrder) ||
 		!slices.Equal(res.Final, sol.Result.Final) {
-		return fmt.Errorf("place: internal: winner replay diverged from search run (latency %v vs %v)",
+		return nil, fmt.Errorf("place: internal: winner replay diverged from search run (latency %v vs %v)",
 			res.Latency, sol.Result.Latency)
 	}
 	sol.Result = res
-	return nil
+	return sol, nil
 }
 
-// boundFunc supplies the current global improvement bound to a
-// trajectory search; ok == false means no bound yet.
-type boundFunc func() (bound gates.Time, ok bool)
-
-// replayBound incrementally replays the global-patience protocol over
-// consecutively-completed trajectories and publishes the best latency
-// the sequential search would have observed so far. A start reading
-// the bound mid-search always gets a value derived from a prefix of
-// the starts before it (the replay front cannot pass an unfinished
-// start), hence ≥ the exact sequential bound — safe to truncate on.
+// replayBound replays the paper's global-patience protocol over the
+// start trajectories as they complete: starts in index order against
+// a shared global best, patience counting the runs that fail to
+// improve it, and runs past a start's replayed stopping point
+// discarded. The replay front advances over every consecutively
+// recorded trajectory, so a start reading the bound mid-search gets
+// the best of a prefix of the starts before it: never below the exact
+// sequential bound, hence safe to truncate on. Once every trajectory
+// is recorded, best, bestStart and runs are the sequential search's
+// winner and realized run count. A replayed improvement always has
+// its result retained: improving the global best implies improving
+// the start's own prefix best, which is what searchTrajectory records.
 type replayBound struct {
-	mu       sync.Mutex
-	patience int
-	pos      int // next start index to replay
-	have     bool
-	best     gates.Time
+	mu        sync.Mutex
+	patience  int
+	trajs     [][]runRecord // by start index; nil until recorded
+	pos       int           // next start index to replay
+	runs      int           // runs replayed so far
+	best      *runRecord    // replayed global best; nil before the first run
+	bestStart int           // start index of best
+	err       error         // the first run error the replay reached
 }
 
 func (rb *replayBound) get() (gates.Time, bool) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
-	return rb.best, rb.have
+	if rb.best == nil {
+		return 0, false
+	}
+	return rb.best.latency, true
 }
 
-// record stores one start's finished trajectory (the trajs slots are
-// shared with concurrently-searching workers, so the assignment must
-// happen under the bound's mutex) and advances the replay front over
-// every consecutively-recorded trajectory, applying the same
-// patience-truncated walk as replayGlobal (latencies only).
-func (rb *replayBound) record(seed int, traj []runRecord, trajs [][]runRecord) {
+// record stores one start's finished trajectory and advances the
+// replay front. It returns the first run error the replay has reached,
+// which is the error the sequential search stops at: a speculative
+// run past a start's replayed stopping point is never reached, just as
+// the sequential search never runs it.
+func (rb *replayBound) record(start int, traj []runRecord) error {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
-	trajs[seed] = traj
-	for rb.pos < len(trajs) && trajs[rb.pos] != nil {
+	rb.trajs[start] = traj
+	for rb.err == nil && rb.pos < len(rb.trajs) && rb.trajs[rb.pos] != nil {
 		sinceImprove := 0
-		for _, rec := range trajs[rb.pos] {
-			if !rb.have || rec.latency < rb.best {
-				rb.best, rb.have = rec.latency, true
-				sinceImprove = 0
+		for i := range rb.trajs[rb.pos] {
+			rec := &rb.trajs[rb.pos][i]
+			if rec.err != nil {
+				rb.err = rec.err
+				break
+			}
+			rb.runs++
+			if rb.best == nil || rec.latency < rb.best.latency {
+				rb.best, rb.bestStart, sinceImprove = rec, rb.pos, 0
 			} else if sinceImprove++; sinceImprove >= rb.patience {
 				break
 			}
 		}
 		rb.pos++
 	}
+	return rb.err
 }
 
 // runRecord is one placement run in a start's recorded trajectory.
@@ -572,30 +455,31 @@ func (rb *replayBound) record(seed int, traj []runRecord, trajs [][]runRecord) {
 // so a trajectory holds O(improvements) engine results, not O(runs).
 // Results are traceless (the search runs with CollectTrace off);
 // forced keeps a backward run's issue order so captureWinner can
-// replay it with capture on if it is crowned.
+// replay it with capture on if it is crowned. A run that failed ends
+// its trajectory as a record holding only err.
 type runRecord struct {
 	latency  gates.Time
 	backward bool
 	iter     int
 	result   *engine.Result
 	forced   []int
+	err      error
 }
 
 // searchTrajectory performs one start's variable-length
 // forward/backward neighborhood search and records every run. The
-// search's improvement reference is min(hint(), own stored-prefix
-// best): under the sequential ScopeGlobal protocol the hint is the
-// exact earlier-starts bound and the trajectory is truncated at
-// exactly the paper protocol's stopping point; under a speculative
-// (parallel) or nil hint the reference is only ever ≥ the sequential
-// one, so the trajectory stops at-or-after the replayed stopping
-// point and retains a result for every run the replay could crown.
+// search's improvement reference is min(rb's bound, own stored-prefix
+// best). With the replay front at this start the bound is the exact
+// earlier-starts best and the trajectory is truncated at exactly the
+// paper protocol's stopping point; with the front behind it (a
+// speculative parallel search) the reference is only ever ≥ the
+// sequential one, so the trajectory stops at-or-after the replayed
+// stopping point and retains a result for every run the replay could
+// crown.
 //
-// Forward and backward runs share sim and are plain cold runs: each
-// backward run moves most qubits, so a forward baseline recorded for
-// suffix replay (runIncremental) would almost never be forked from.
+// Forward and backward runs share sim and are plain cold runs.
 func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
-	opts MVFBOptions, hint boundFunc, sim *engine.Sim) ([]runRecord, error) {
+	opts MVFBOptions, rb *replayBound, sim *engine.Sim) []runRecord {
 
 	var localBest gates.Time
 	haveLocal := false
@@ -603,12 +487,8 @@ func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
 		if haveLocal && latency >= localBest {
 			return false
 		}
-		if hint != nil {
-			if b, ok := hint(); ok && latency >= b {
-				return false
-			}
-		}
-		return true
+		b, ok := rb.get()
+		return !ok || latency < b
 	}
 	var traj []runRecord
 	sinceImprove := 0
@@ -634,7 +514,7 @@ func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
 		// Forward computation on the QIDG.
 		fres, err := sim.Run(g, fwdCfg, p)
 		if err != nil {
-			return nil, err
+			return append(traj, runRecord{err: err})
 		}
 		rec := runRecord{latency: fres.Latency, iter: iter}
 		if improves(fres.Latency) {
@@ -648,7 +528,7 @@ func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
 		bwdCfg.ForcedOrder = reverseOrder(fres.IssueOrder)
 		bres, err := sim.Run(rev, bwdCfg, fres.Final)
 		if err != nil {
-			return nil, err
+			return append(traj, runRecord{err: err})
 		}
 		rec = runRecord{latency: bres.Latency, backward: true, iter: iter}
 		if improves(bres.Latency) {
@@ -662,76 +542,7 @@ func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
 		// computation (P_{k+1}).
 		p = bres.Final
 	}
-	return traj, nil
-}
-
-// replayGlobal merges the recorded trajectories under the sequential
-// ScopeGlobal protocol: starts are replayed in index order against a
-// shared global best, patience counts runs that fail to improve it,
-// and runs past a start's replayed stopping point are discarded. A
-// replayed improvement always has its result retained (improving the
-// global best implies improving the start's own prefix best, which is
-// what searchTrajectory records), so the winner — and the realized
-// run count — match the sequential search exactly.
-func replayGlobal(trajs [][]runRecord, patience int) (*Solution, []int, error) {
-	best := &Solution{}
-	var forced []int
-	totalRuns := 0
-	for seed, traj := range trajs {
-		sinceImprove := 0
-		for i := range traj {
-			rec := &traj[i]
-			totalRuns++
-			if best.Result == nil || rec.latency < best.Result.Latency {
-				best.Result = rec.result
-				best.Backward = rec.backward
-				best.Seed = seed
-				best.Iteration = rec.iter
-				forced = rec.forced
-				sinceImprove = 0
-			} else if sinceImprove++; sinceImprove >= patience {
-				break
-			}
-		}
-	}
-	best.Runs = totalRuns
-	if best.Result == nil {
-		return nil, nil, fmt.Errorf("place: MVFB produced no solution")
-	}
-	return best, forced, nil
-}
-
-// reduceSeedScope merges fully independent (ScopeSeed) trajectories:
-// every recorded run counts, each start's best is its last retained
-// improvement, and the winner is reduced by (latency, start index).
-func reduceSeedScope(trajs [][]runRecord) (*Solution, []int, error) {
-	best := &Solution{}
-	var forced []int
-	totalRuns := 0
-	for seed, traj := range trajs {
-		totalRuns += len(traj)
-		var sb *runRecord
-		for i := range traj {
-			if traj[i].result != nil {
-				sb = &traj[i]
-			}
-		}
-		if sb == nil {
-			continue
-		}
-		if best.Result == nil || sb.latency < best.Result.Latency {
-			best.Result = sb.result
-			best.Backward = sb.backward
-			best.Seed = seed
-			best.Iteration = sb.iter
-			forced = sb.forced
-		}
-	}
-	best.Runs = totalRuns
-	if best.Result == nil {
-		return nil, nil, fmt.Errorf("place: MVFB produced no solution")
-	}
-	return best, forced, nil
+	return traj
 }
 
 func reverseOrder(order []int) []int {

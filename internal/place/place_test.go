@@ -115,11 +115,11 @@ func TestCenterPermutationIsPermutation(t *testing.T) {
 func TestMonteCarloImprovesWithRuns(t *testing.T) {
 	g := fig3Graph(t)
 	cfg := qsprConfig(fabric.Quale4585())
-	one, err := MonteCarlo(g, cfg, 1, 7)
+	one, err := MonteCarlo(g, cfg, 1, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := MonteCarlo(g, cfg, 12, 7)
+	many, err := MonteCarlo(g, cfg, 12, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestMonteCarloImprovesWithRuns(t *testing.T) {
 
 func TestMonteCarloRejectsZeroRuns(t *testing.T) {
 	g := fig3Graph(t)
-	if _, err := MonteCarlo(g, qsprConfig(fabric.Quale4585()), 0, 1); err == nil {
+	if _, err := MonteCarlo(g, qsprConfig(fabric.Quale4585()), 0, 1, 1, nil); err == nil {
 		t.Error("accepted 0 runs")
 	}
 }
@@ -175,7 +175,7 @@ func TestMVFBBeatsOrMatchesMCAtSameRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MonteCarlo(g, cfg, mvfb.Runs, 99)
+	mc, err := MonteCarlo(g, cfg, mvfb.Runs, 99, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,35 +269,6 @@ func TestMVFBSeedsIndependent(t *testing.T) {
 	}
 }
 
-// TestMVFBParallelEquivalence: seed searches are independent, so any
-// worker count must produce exactly the sequential result.
-func TestMVFBParallelEquivalence(t *testing.T) {
-	g := fig3Graph(t)
-	cfg := qsprConfig(fabric.Quale4585())
-	base := MVFBOptions{Seeds: 6, Patience: 3, MaxRunsPerSeed: 20, Seed: 5, PatienceScope: ScopeSeed}
-	seq, err := MVFB(g, cfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		opts := base
-		opts.Workers = workers
-		par, err := MVFB(g, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Result.Latency != seq.Result.Latency ||
-			par.Runs != seq.Runs ||
-			par.Seed != seq.Seed ||
-			par.Backward != seq.Backward ||
-			par.Iteration != seq.Iteration {
-			t.Errorf("workers=%d diverges: %v/%d/%d/%v vs %v/%d/%d/%v",
-				workers, par.Result.Latency, par.Runs, par.Seed, par.Backward,
-				seq.Result.Latency, seq.Runs, seq.Seed, seq.Backward)
-		}
-	}
-}
-
 // TestMVFBParallelGlobalScope: the paper's global-patience protocol
 // is parallelized by speculative trajectories + deterministic replay;
 // every field of the solution — including the realized run count,
@@ -330,29 +301,6 @@ func TestMVFBParallelGlobalScope(t *testing.T) {
 	}
 }
 
-// TestMVFBScopesBothValid: both patience scopes produce valid
-// solutions; per-seed runs at least as many placements.
-func TestMVFBScopesBothValid(t *testing.T) {
-	g := fig3Graph(t)
-	cfg := qsprConfig(fabric.Quale4585())
-	glob, err := MVFB(g, cfg, MVFBOptions{Seeds: 4, Patience: 3, MaxRunsPerSeed: 20, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSeed, err := MVFB(g, cfg, MVFBOptions{Seeds: 4, Patience: 3, MaxRunsPerSeed: 20, Seed: 2, PatienceScope: ScopeSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perSeed.Runs < glob.Runs {
-		t.Errorf("per-seed patience ran fewer placements (%d) than global (%d)", perSeed.Runs, glob.Runs)
-	}
-	for _, s := range []*Solution{glob, perSeed} {
-		if err := s.Result.Trace.Validate(); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
 // TestMonteCarloForcedOrderCaptures: deferred capture must replay the
 // Monte-Carlo winner under the caller's scheduling knobs — including
 // an explicit ForcedOrder — or the replay cross-check would reject a
@@ -361,11 +309,7 @@ func TestMVFBScopesBothValid(t *testing.T) {
 func TestMonteCarloForcedOrderCaptures(t *testing.T) {
 	g := fig3Graph(t)
 	cfg := qsprConfig(fabric.Quale4585())
-	center, err := Center(cfg.Fabric, g.NumQubits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := engine.Run(g, cfg, center)
+	base, err := CenterRun(g, cfg, engine.NewSim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +321,7 @@ func TestMonteCarloForcedOrderCaptures(t *testing.T) {
 		forced[len(forced)-1-i] = n
 	}
 	cfg.ForcedOrder = forced
-	sol, err := MonteCarloParallel(g, cfg, 4, 7, 1)
+	sol, err := MonteCarlo(g, cfg, 4, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/qidg"
@@ -40,22 +39,19 @@ func PlacerName(rank int) string {
 
 // PortfolioOptions configures the placer portfolio race.
 type PortfolioOptions struct {
-	// MVFB configures the MVFB entrant (its Workers field is
-	// overridden by the portfolio's budget split).
+	// MVFB configures the MVFB entrant (its Workers and Sim fields
+	// are overridden by the portfolio's budget split). The Monte-Carlo
+	// entrant runs 2 × MVFB.Seeds trials — the Table 1 protocol's
+	// budget ratio, with the realized MVFB run count unknowable before
+	// the race ends — seeded by MVFB.Seed.
 	MVFB MVFBOptions
-	// MCRuns is the Monte-Carlo entrant's trial count; 0 means
-	// 2 × MVFB.Seeds (the Table 1 protocol's budget ratio, with the
-	// realized MVFB run count unknowable before the race ends).
-	MCRuns int
-	// MCSeed seeds the Monte-Carlo trials; 0 means MVFB.Seed.
-	MCSeed int64
 	// Workers is the total CPU budget shared by the raced placers:
 	// MVFB and Monte-Carlo split it, Center's single run rides along.
 	// <= 1 runs the placers sequentially. The result is identical for
 	// any value.
 	Workers int
-	// Anneal, when non-nil, enters the incremental annealing placer in
-	// the race (its Workers field is overridden by the portfolio's
+	// Anneal, when non-nil, enters the annealing placer in the race
+	// (its Workers and Sim fields are overridden by the portfolio's
 	// budget split). Nil keeps the original three-entrant race and its
 	// exact outputs.
 	Anneal *AnnealOptions
@@ -84,83 +80,46 @@ func Portfolio(g *qidg.Graph, cfg engine.Config, opts PortfolioOptions) (*Portfo
 	if opts.MVFB.Seeds <= 0 {
 		return nil, fmt.Errorf("place: portfolio needs at least 1 MVFB seed")
 	}
-	mcRuns := opts.MCRuns
-	if mcRuns <= 0 {
-		mcRuns = 2 * opts.MVFB.Seeds
-	}
-	mcSeed := opts.MCSeed
-	if mcSeed == 0 {
-		mcSeed = opts.MVFB.Seed
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Both search entrants run traceless (their searchOutcomes await
+	// The race runs on two lanes through fanOut: MVFB on lane 0, then
+	// Monte-Carlo, Center and the annealer on lane 1, which splits the
+	// budget between the two search placers while Center's single
+	// cheap run rides along. Each entrant runs on its lane's Sim, so a
+	// sequential race keeps one Sim warm across every entrant. Both
+	// search entrants run traceless (their searchOutcomes await
 	// deferred capture); Center's single run captures directly. Only
 	// the race winner is replayed with capture on, so a portfolio
 	// mapping pays for exactly one captured trace.
+	workers := max(opts.Workers, 1)
+	mvfbW := (workers + 1) / 2
+	mcW := max(workers-mvfbW, 1)
 	sols := make([]*Solution, numPortfolioRanks)
 	outs := make([]searchOutcome, numPortfolioRanks)
-	errs := make([]error, numPortfolioRanks)
-	if workers == 1 {
-		// Sequential race: one shared routing graph stays warm across
-		// all entrants (every Sim resets it per run).
-		if cfg.RouteGraph == nil {
-			cfg.RouteGraph = cfg.BuildRouteGraph()
+	_, err := fanOut(2, workers, cfg, nil, func(_ int, sim *engine.Sim, cfg engine.Config, lane int) error {
+		var err error
+		if lane == 0 {
+			mvfbOpts := opts.MVFB
+			mvfbOpts.Workers, mvfbOpts.Sim = mvfbW, sim
+			outs[RankMVFB], err = mvfbSearch(g, cfg, mvfbOpts)
+			return err
 		}
-		mvfbOpts := opts.MVFB
-		mvfbOpts.Workers = 1
-		outs[RankMVFB], errs[RankMVFB] = mvfbSearch(g, cfg, mvfbOpts)
-		outs[RankMonteCarlo], errs[RankMonteCarlo] = monteCarloSearch(g, cfg, mcRuns, mcSeed, 1, nil)
-		sols[RankCenter], errs[RankCenter] = centerSolution(g, cfg)
+		if outs[RankMonteCarlo], err = monteCarloSearch(g, cfg, 2*opts.MVFB.Seeds, opts.MVFB.Seed, mcW, sim); err != nil {
+			return err
+		}
+		if sols[RankCenter], err = centerSolution(g, cfg, sim); err != nil {
+			return err
+		}
+		// The annealer is bit-identical for any worker count, so
+		// reusing the Monte-Carlo lane's budget cannot change its
+		// output.
 		if opts.Anneal != nil {
 			annealOpts := *opts.Anneal
-			annealOpts.Workers = 1
-			outs[RankAnneal], errs[RankAnneal] = annealSearch(g, cfg, annealOpts)
+			annealOpts.Workers, annealOpts.Sim = mcW, sim
+			outs[RankAnneal], err = annealSearch(g, cfg, annealOpts)
 		}
-	} else {
-		// Concurrent race on exactly `workers` engine goroutines: the
-		// budget is split between the two search placers, and Center's
-		// single cheap run rides on the Monte-Carlo goroutine after it
-		// finishes rather than claiming a slot of its own. The mutable
-		// routing graph must not be shared, so every entrant builds
-		// its own.
-		mvfbW := (workers + 1) / 2
-		mcW := workers - mvfbW
-		if mcW < 1 {
-			mcW = 1
-		}
-		mvfbOpts := opts.MVFB
-		mvfbOpts.Workers = mvfbW
-		ccfg := cfg
-		ccfg.RouteGraph = nil
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			outs[RankMVFB], errs[RankMVFB] = mvfbSearch(g, ccfg, mvfbOpts)
-		}()
-		go func() {
-			defer wg.Done()
-			outs[RankMonteCarlo], errs[RankMonteCarlo] = monteCarloSearch(g, ccfg, mcRuns, mcSeed, mcW, nil)
-			sols[RankCenter], errs[RankCenter] = centerSolution(g, ccfg)
-			// The annealer rides the Monte-Carlo lane after it drains:
-			// it is bit-identical for any worker count, so reusing that
-			// lane's budget cannot change its output.
-			if opts.Anneal != nil {
-				annealOpts := *opts.Anneal
-				annealOpts.Workers = mcW
-				outs[RankAnneal], errs[RankAnneal] = annealSearch(g, ccfg, annealOpts)
-			}
-		}()
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	sols[RankMVFB] = outs[RankMVFB].sol
 	sols[RankMonteCarlo] = outs[RankMonteCarlo].sol
@@ -173,10 +132,9 @@ func Portfolio(g *qidg.Graph, cfg engine.Config, opts PortfolioOptions) (*Portfo
 	}
 	// Deferred capture for the single winner; Center's result already
 	// carries its trace. The race above is a barrier, so the winning
-	// entrant's warm sequential Sim — when it has one — is free for
-	// the replay.
+	// entrant's Sim is free for the replay.
 	if win != RankCenter {
-		if err := captureWinner(g, outs[win].rev, cfg, sols[win], outs[win].forced, outs[win].sim); err != nil {
+		if _, err := captureWinner(g, cfg, outs[win]); err != nil {
 			return nil, err
 		}
 	}
@@ -190,17 +148,10 @@ func Portfolio(g *qidg.Graph, cfg engine.Config, opts PortfolioOptions) (*Portfo
 	return out, nil
 }
 
-// centerSolution runs the deterministic Center placement once — the
-// portfolio's cheap fallback entrant (QUALE's placer under the
-// caller's engine configuration). A single run whose trace the
-// portfolio may report wins nothing from deferred capture, so it
-// uses engine.Run, which captures unconditionally.
-func centerSolution(g *qidg.Graph, cfg engine.Config) (*Solution, error) {
-	p, err := Center(cfg.Fabric, g.NumQubits)
-	if err != nil {
-		return nil, err
-	}
-	res, err := engine.Run(g, cfg, p)
+// centerSolution is the portfolio's Center entrant: QUALE's placer
+// under the caller's engine configuration, one captured run on sim.
+func centerSolution(g *qidg.Graph, cfg engine.Config, sim *engine.Sim) (*Solution, error) {
+	res, err := CenterRun(g, cfg, sim)
 	if err != nil {
 		return nil, err
 	}

@@ -69,14 +69,10 @@ func Config(f *fabric.Fabric, v Variant) engine.Config {
 }
 
 // Map schedules, places and routes the program with the QPOS flow:
-// center placement plus one mapping run. QPOS is a one-shot mapper
-// whose trace is the deliverable, so it uses engine.Run — the
-// simulator wrapper with capture always on — rather than the
-// traceless-search protocol of the QSPR placers.
+// center placement plus one captured mapping run (place.CenterRun),
+// on a fresh Sim for the same reason as quale.Map: its capacity-1
+// technology would make a caller's warm QSPR Sim rebuild its route
+// graph twice.
 func Map(g *qidg.Graph, f *fabric.Fabric, v Variant) (*engine.Result, error) {
-	p, err := place.Center(f, g.NumQubits)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Run(g, Config(f, v), p)
+	return place.CenterRun(g, Config(f, v), engine.NewSim())
 }

@@ -54,14 +54,10 @@ func Config(f *fabric.Fabric) engine.Config {
 }
 
 // Map schedules, places and routes the program with the QUALE flow:
-// center placement plus one mapping run. QUALE is a one-shot mapper
-// whose trace is the deliverable, so it uses engine.Run — the
-// simulator wrapper with capture always on — rather than the
-// traceless-search protocol of the QSPR placers.
+// center placement plus one captured mapping run (place.CenterRun).
+// It runs on a fresh Sim: a caller's warm QSPR Sim would have to
+// rebuild its route graph for QUALE's capacity-1 technology and again
+// for the next QSPR run.
 func Map(g *qidg.Graph, f *fabric.Fabric) (*engine.Result, error) {
-	p, err := place.Center(f, g.NumQubits)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Run(g, Config(f), p)
+	return place.CenterRun(g, Config(f), engine.NewSim())
 }

@@ -352,8 +352,8 @@ func (g *Graph) buildCSR() {
 // as if New had been called again. The route cache is retained — its
 // entries describe the zero-occupancy weights, which are identical
 // in every totally idle state — so repeated engine runs over one
-// graph (MVFB, Monte-Carlo) keep their warm cache. Used by
-// engine.Run when a pre-built graph is supplied.
+// graph (MVFB, Monte-Carlo) keep their warm cache. engine.Sim calls
+// it whenever a run reuses a graph.
 // Occupancy bookkeeping is dirty-listed (see Occupy), so only groups
 // that actually saw traffic are walked — Reset is O(touched), not
 // O(fabric).

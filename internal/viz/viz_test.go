@@ -37,10 +37,10 @@ C-Y a,c
 	cfg := engine.Config{
 		Fabric: fab, Tech: gates.Default(),
 		Policy: sched.QSPR, Weights: sched.DefaultWeights(),
-		TurnAware: true, BothMove: true, MedianTarget: true,
+		TurnAware: true, BothMove: true, MedianTarget: true, CollectTrace: true,
 	}
 	order := fab.TrapsByDistance(fabric.Pos{Row: 10, Col: 10})
-	res, err := engine.Run(g, cfg, engine.Placement{order[0], order[1], order[4]})
+	res, err := engine.NewSim().Run(g, cfg, engine.Placement{order[0], order[1], order[4]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 # Annealing-placer determinism smoke: the same anneal mapping run at
 # -inner-parallel 1 and 4 must emit byte-identical deterministic
 # reports (the qsprd /map response bytes — latency, placement, trace
-# and all), and the incremental engine underneath must agree with the
-# cold path (captureWinner cross-checks the crowned run on every
-# mapping, so a fork-correctness violation fails the run loudly).
+# and all). On every mapping captureWinner also cross-checks the
+# crowned run's captured replay against its search run, so a
+# determinism violation fails the run loudly.
 # Run from anywhere; CI runs it on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
