@@ -133,10 +133,12 @@ func cliReport(t *testing.T, args ...string) []byte {
 }
 
 // TestReportMatchesService is the service's headline correctness
-// pin: for both built-in fabrics × three registry specs (including an
-// OpenQASM 2.0 source resolved through the qasm() family), the POST
-// /map response bytes equal the `qspr -report -` bytes for the same
-// inputs — and a cached hit re-serves exactly the cold-miss bytes.
+// pin: for both built-in fabrics × two registry specs and an OpenQASM
+// 2.0 program sent inline, the POST /map response bytes equal the
+// `qspr -report -` bytes for the same inputs — and a cached hit
+// re-serves exactly the cold-miss bytes. The same program named
+// through the file-backed qasm() family maps on the CLI, while the
+// service refuses that family, which would read a file on its own host.
 func TestReportMatchesService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -152,24 +154,31 @@ cz q[2],q[0]; cy q[3],q[0]; cz q[4],q[0];
 	if err := os.WriteFile(qasmPath, []byte(openqasm), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	specs := []struct {
-		spec, heuristic string
-		m               int
+	// Each case selects its circuit with qspr flags (cli) and with the
+	// matching request fields (req).
+	cases := []struct {
+		name, req, heuristic string
+		cli                  []string
+		m                    int
 	}{
-		{"[[5,1,3]]", "qspr", 2},
-		{"ghz(q=4)", "qspr-center", 25},
-		{fmt.Sprintf("qasm(path=%s)", qasmPath), "mc", 2},
+		{"[[5,1,3]]", `"circuit":"[[5,1,3]]"`, "qspr", []string{"-circuit", "[[5,1,3]]"}, 2},
+		{"ghz(q=4)", `"circuit":"ghz(q=4)"`, "qspr-center", []string{"-circuit", "ghz(q=4)"}, 25},
+		{"inline-qasm", fmt.Sprintf(`"qasm":%q`, openqasm), "mc", []string{"-qasm", qasmPath}, 2},
 	}
 	srv := serve.New(serve.Config{Workers: 2, QueueDepth: 8})
 	h := srv.Handler()
+	fileSpec := fmt.Sprintf("qasm(path=%s)", qasmPath)
+	cliReport(t, "-circuit", fileSpec, "-fabric", "small", "-heuristic", "mc", "-m", "2")
+	if w := postServe(t, h, fmt.Sprintf(`{"circuit":%q,"fabric":"small","heuristic":"mc","m":2}`, fileSpec)); w.Code != http.StatusBadRequest {
+		t.Errorf("%s: served status %d, want 400: %s", fileSpec, w.Code, w.Body.String())
+	}
 	for _, fab := range []string{"quale45x85", "small"} {
-		for _, sp := range specs {
-			name := fab + "/" + sp.spec
-			want := cliReport(t,
-				"-circuit", sp.spec, "-fabric", fab,
-				"-heuristic", sp.heuristic, "-m", fmt.Sprint(sp.m))
-			body := fmt.Sprintf(`{"circuit":%q,"fabric":%q,"heuristic":%q,"m":%d}`,
-				sp.spec, fab, sp.heuristic, sp.m)
+		for _, c := range cases {
+			name := fab + "/" + c.name
+			want := cliReport(t, append(c.cli,
+				"-fabric", fab, "-heuristic", c.heuristic, "-m", fmt.Sprint(c.m))...)
+			body := fmt.Sprintf(`{%s,"fabric":%q,"heuristic":%q,"m":%d}`,
+				c.req, fab, c.heuristic, c.m)
 			miss := postServe(t, h, body)
 			if miss.Code != http.StatusOK {
 				t.Fatalf("%s: served status %d: %s", name, miss.Code, miss.Body.String())

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -35,6 +36,10 @@ type family struct {
 	// (the qasm family stamps the file's content digest, hashed from
 	// the same bytes it parses).
 	build func(p map[string]string) (*qasm.Program, error)
+	// size bounds the qubits and gates build would emit, from the
+	// resolved parameters alone. It is nil for the qasm family, whose
+	// size is known only once its file is read.
+	size func(p map[string]string) (qubits, gates int, err error)
 	// usage is the one-line signature shown in errors and -list.
 	usage string
 	// doc is a short description of the family.
@@ -75,6 +80,9 @@ var families = map[string]family{
 			}
 			return qasmgen.RandomClifford(q, g, frac, seed)
 		},
+		size: func(p map[string]string) (int, int, error) {
+			return intParams2(p, "q", "g")
+		},
 	},
 	"ghz": {
 		params: []paramSpec{{"q", ""}},
@@ -86,6 +94,10 @@ var families = map[string]family{
 				return nil, err
 			}
 			return qasmgen.GHZ(q)
+		},
+		size: func(p map[string]string) (int, int, error) {
+			q, err := intParam(p, "q")
+			return q, q, err // H, then a CNOT per further qubit
 		},
 	},
 	"brickwork": {
@@ -103,6 +115,10 @@ var families = map[string]family{
 			}
 			return qasmgen.BrickworkLayers(q, layers)
 		},
+		size: func(p map[string]string) (int, int, error) {
+			q, layers, err := intParams2(p, "q", "layers")
+			return q, satMul(layers, max(q, 0)/2), err
+		},
 	},
 	"ring": {
 		params: []paramSpec{{"q", ""}, {"layers", "1"}},
@@ -119,6 +135,10 @@ var families = map[string]family{
 			}
 			return qasmgen.Ring(q, layers)
 		},
+		size: func(p map[string]string) (int, int, error) {
+			q, layers, err := intParams2(p, "q", "layers")
+			return q, satAdd(q, satMul(layers, q)), err // an H per qubit, a gate per edge per layer
+		},
 	},
 	"star": {
 		params: []paramSpec{{"q", ""}, {"layers", "1"}},
@@ -134,6 +154,10 @@ var families = map[string]family{
 				return nil, err
 			}
 			return qasmgen.Star(q, layers)
+		},
+		size: func(p map[string]string) (int, int, error) {
+			q, layers, err := intParams2(p, "q", "layers")
+			return q, satAdd(q, satMul(layers, max(q, 1)-1)), err
 		},
 	},
 	"grid": {
@@ -155,6 +179,16 @@ var families = map[string]family{
 			}
 			return qasmgen.Grid(rows, cols, layers)
 		},
+		size: func(p map[string]string) (int, int, error) {
+			rows, cols, err := intParams2(p, "rows", "cols")
+			if err != nil {
+				return 0, 0, err
+			}
+			layers, err := intParam(p, "layers")
+			q := satMul(rows, cols)
+			edges := satAdd(satMul(rows, max(cols, 1)-1), satMul(cols, max(rows, 1)-1))
+			return q, satAdd(q, satMul(layers, edges)), err
+		},
 	},
 	"steane-syndrome": {
 		params: []paramSpec{},
@@ -162,6 +196,9 @@ var families = map[string]family{
 		doc:    "one syndrome-extraction round of the Steane code (7 data + 6 ancilla)",
 		build: func(map[string]string) (*qasm.Program, error) {
 			return qasmgen.SteaneSyndrome()
+		},
+		size: func(map[string]string) (int, int, error) {
+			return 13, 36, nil // 7 data + 6 ancillas; 3×7 X-type + 3×5 Z-type gates
 		},
 	},
 	"qasm": {
@@ -228,6 +265,34 @@ func intParam(p map[string]string, key string) (int, error) {
 	return v, nil
 }
 
+func intParams2(p map[string]string, k1, k2 string) (int, int, error) {
+	a, err := intParam(p, k1)
+	if err != nil {
+		return 0, 0, err
+	}
+	b, err := intParam(p, k2)
+	return a, b, err
+}
+
+// satMul and satAdd are the size bounds' arithmetic: they count a
+// negative operand (which build rejects) as 0 and saturate at
+// math.MaxInt instead of overflowing.
+func satMul(a, b int) int {
+	a, b = max(a, 0), max(b, 0)
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func satAdd(a, b int) int {
+	a, b = max(a, 0), max(b, 0)
+	if b > math.MaxInt-a {
+		return math.MaxInt
+	}
+	return a + b
+}
+
 // Families lists the generator family signatures with their
 // one-line descriptions, for -list style help output.
 func Families() []string {
@@ -254,21 +319,9 @@ func Resolve(spec string) (Benchmark, error) {
 	if b, err := ByName(spec); err == nil {
 		return b, nil
 	}
-	name, params, hasCall, err := splitCall(spec)
+	name, fam, resolved, err := lookup(spec)
 	if err != nil {
-		return Benchmark{}, fmt.Errorf("circuits: %w", err)
-	}
-	fam, ok := families[strings.ToLower(name)]
-	if !ok {
-		return Benchmark{}, fmt.Errorf("circuits: unknown benchmark or family %q (built-ins: %s; families: %s)",
-			spec, strings.Join(Names(), ", "), strings.Join(familyOrder, ", "))
-	}
-	if !hasCall && requiredParams(fam) > 0 {
-		return Benchmark{}, fmt.Errorf("circuits: family %q needs parameters: %s", name, fam.usage)
-	}
-	resolved, err := resolveParams(fam, params)
-	if err != nil {
-		return Benchmark{}, fmt.Errorf("circuits: %s: %w (usage: %s)", name, err, fam.usage)
+		return Benchmark{}, err
 	}
 	prog, err := fam.build(resolved)
 	if err != nil {
@@ -279,6 +332,75 @@ func Resolve(spec string) (Benchmark, error) {
 		Program: prog,
 		Source:  "generator:" + strings.ToLower(name),
 	}, nil
+}
+
+// Bound is what Resolve would build from a spec, found without
+// building it or reading any file.
+type Bound struct {
+	// Family is the lower-case family the spec calls; "" for a
+	// built-in benchmark label.
+	Family string
+	// ReadsFile reports a family that reads a file on the resolving
+	// host (qasm). Its size is unknown, and Qubits and Gates are 0.
+	ReadsFile bool
+	// Qubits and Gates bound the circuit from above, saturating at
+	// math.MaxInt however large the spec's numbers are.
+	Qubits, Gates int
+}
+
+// SpecBound parses spec as Resolve does and bounds the circuit it
+// names from its parameters alone, so a caller can refuse a spec
+// before paying for it. A spec Resolve rejects for its syntax, family
+// or parameters is rejected with the same error.
+func SpecBound(spec string) (Bound, error) {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
+		return Bound{}, fmt.Errorf("circuits: empty circuit spec")
+	}
+	once.Do(build)
+	for _, b := range all {
+		if b.Name == spec {
+			return Bound{Qubits: b.Program.NumQubits(), Gates: len(b.Program.Instrs) - b.Program.NumQubits()}, nil
+		}
+	}
+	name, fam, resolved, err := lookup(spec)
+	if err != nil {
+		return Bound{}, err
+	}
+	bound := Bound{Family: strings.ToLower(name)}
+	if fam.size == nil {
+		bound.ReadsFile = true
+		return bound, nil
+	}
+	q, g, err := fam.size(resolved)
+	if err != nil {
+		return Bound{}, fmt.Errorf("circuits: %s: %w", name, err)
+	}
+	bound.Qubits, bound.Gates = max(q, 0), max(g, 0)
+	return bound, nil
+}
+
+// lookup parses a spec that is not a built-in label into the family
+// name as spelled, the family, and its parameters with the defaults
+// filled in.
+func lookup(spec string) (string, family, map[string]string, error) {
+	name, given, hasCall, err := splitCall(spec)
+	if err != nil {
+		return "", family{}, nil, fmt.Errorf("circuits: %w", err)
+	}
+	fam, ok := families[strings.ToLower(name)]
+	if !ok {
+		return "", family{}, nil, fmt.Errorf("circuits: unknown benchmark or family %q (built-ins: %s; families: %s)",
+			spec, strings.Join(Names(), ", "), strings.Join(familyOrder, ", "))
+	}
+	if !hasCall && requiredParams(fam) > 0 {
+		return "", family{}, nil, fmt.Errorf("circuits: family %q needs parameters: %s", name, fam.usage)
+	}
+	resolved, err := resolveParams(fam, given)
+	if err != nil {
+		return "", family{}, nil, fmt.Errorf("circuits: %s: %w (usage: %s)", name, err, fam.usage)
+	}
+	return name, fam, resolved, nil
 }
 
 // splitCall splits "name(k=v,...)" into name and parameter map.

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -190,6 +191,60 @@ func TestFamiliesListed(t *testing.T) {
 	for _, f := range fams {
 		if !strings.Contains(f, "—") {
 			t.Errorf("family line %q has no description", f)
+		}
+	}
+}
+
+// TestSpecBound: SpecBound bounds the circuit Resolve builds without
+// building it (exactly, for every family but brickwork, whose odd
+// layers are one gate short), saturates instead of overflowing on
+// huge parameters, rejects what Resolve rejects, and marks the qasm
+// family, in any spelling, as reading a file without touching one.
+func TestSpecBound(t *testing.T) {
+	for _, spec := range []string{
+		"[[7,1,3]]", "rand(q=5,g=17)", "ghz(q=7)", "brickwork(q=7,layers=3)",
+		"ring(q=5,layers=2)", "star(q=6,layers=2)", "grid(rows=3,cols=4,layers=2)", "steane-syndrome",
+	} {
+		b, err := SpecBound(spec)
+		if err != nil {
+			t.Fatalf("SpecBound(%q): %v", spec, err)
+		}
+		c, err := Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, g := c.Program.NumQubits(), len(c.Program.Gates())
+		if b.Qubits != q || b.Gates < g || (b.Gates != g && !strings.HasPrefix(spec, "brickwork")) {
+			t.Errorf("SpecBound(%q) = %d qubits, %d gates; circuit has %d, %d", spec, b.Qubits, b.Gates, q, g)
+		}
+	}
+	huge := "9223372036854775807"
+	for _, spec := range []string{
+		"rand(q=2,g=" + huge + ")",
+		"ring(q=" + huge + ",layers=" + huge + ")",
+		"grid(rows=4294967296,cols=4294967296,layers=" + huge + ")",
+		"star(q=-9223372036854775808,layers=" + huge + ")",
+	} {
+		b, err := SpecBound(spec)
+		if err != nil {
+			t.Fatalf("SpecBound(%q): %v", spec, err)
+		}
+		if b.Qubits < 0 || b.Gates < 0 || (b.Gates != math.MaxInt && !strings.HasPrefix(spec, "star")) {
+			t.Errorf("SpecBound(%q) = %+v, want gates saturated at MaxInt", spec, b)
+		}
+	}
+	for _, spec := range []string{"", "nosuch", "rand(q=8)", "rand(q=x,g=3)", "ghz(q=4,bogus=1)"} {
+		if _, err := SpecBound(spec); err == nil {
+			t.Errorf("SpecBound(%q): no error", spec)
+		} else if _, rerr := Resolve(spec); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("SpecBound(%q) error %q, Resolve's %v", spec, err, rerr)
+		}
+	}
+	missing := filepath.Join(t.TempDir(), "missing.qasm")
+	for _, spec := range []string{"qasm(path=" + missing + ")", "QASM(path=" + missing + ")", " qasm(path=" + missing + ")"} {
+		b, err := SpecBound(spec)
+		if err != nil || b != (Bound{Family: "qasm", ReadsFile: true}) {
+			t.Errorf("SpecBound(%q) = %+v, %v; want the qasm family marked as reading a file", spec, b, err)
 		}
 	}
 }

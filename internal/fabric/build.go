@@ -1,6 +1,9 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FromCells derives the full fabric topology (junctions, channels,
 // traps and their attachments) from a raw cell grid. The grid must
@@ -19,40 +22,50 @@ func FromCells(rows, cols int, cells []CellKind) (*Fabric, error) {
 	if len(cells) != rows*cols {
 		return nil, fmt.Errorf("fabric: cell slice has %d entries, want %d", len(cells), rows*cols)
 	}
+	if len(cells) > math.MaxInt32 {
+		return nil, fmt.Errorf("fabric: %dx%d grid has more than %d cells", rows, cols, math.MaxInt32)
+	}
 	f := &Fabric{
 		Rows: rows, Cols: cols,
-		cells:      append([]CellKind(nil), cells...),
-		junctionAt: map[Pos]int{},
-		trapAt:     map[Pos]int{},
-		channelAt:  map[Pos]int{},
+		cells: append([]CellKind(nil), cells...),
+		index: make([]int32, len(cells)),
 	}
-	// Junctions first: channels reference them.
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			p := Pos{r, c}
-			if f.At(p) == Junction {
-				f.junctionAt[p] = len(f.Junctions)
-				f.Junctions = append(f.Junctions, JunctionInfo{ID: len(f.Junctions), Pos: p})
-			}
+	var count [Trap + 1]int
+	for i, k := range f.cells {
+		f.index[i] = -1
+		if k <= Trap {
+			count[k]++
 		}
 	}
-	if err := f.deriveChannels(); err != nil {
+	// Junctions first: channels reference them.
+	f.Junctions = make([]JunctionInfo, 0, count[Junction])
+	for i, k := range f.cells {
+		if k == Junction {
+			id := len(f.Junctions)
+			f.index[i] = int32(id)
+			f.Junctions = append(f.Junctions, JunctionInfo{ID: id, Pos: Pos{i / cols, i % cols}})
+		}
+	}
+	if err := f.deriveChannels(count[Channel]); err != nil {
 		return nil, err
 	}
-	if err := f.deriveTraps(); err != nil {
+	if err := f.deriveTraps(count[Trap]); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-func (f *Fabric) deriveChannels() error {
-	claimed := map[Pos]bool{}
+// deriveChannels finds the channel runs. Their cells are carved from
+// one slice of all numCells channel cells; a channel cell is claimed
+// once the index holds its channel's ID.
+func (f *Fabric) deriveChannels(numCells int) error {
+	buf := make([]Pos, 0, numCells)
+	claimed := func(r, c int) bool { return f.index[r*f.Cols+c] >= 0 }
 	// Horizontal runs.
 	for r := 0; r < f.Rows; r++ {
 		c := 0
 		for c < f.Cols {
-			p := Pos{r, c}
-			if f.At(p) != Channel || claimed[p] {
+			if f.At(Pos{r, c}) != Channel || claimed(r, c) {
 				c++
 				continue
 			}
@@ -67,12 +80,11 @@ func (f *Fabric) deriveChannels() error {
 			left := f.JunctionAt(Pos{r, start - 1})
 			right := f.JunctionAt(Pos{r, end + 1})
 			if left >= 0 && right >= 0 {
-				cellsRun := make([]Pos, 0, end-start+1)
+				lo := len(buf)
 				for cc := start; cc <= end; cc++ {
-					cellsRun = append(cellsRun, Pos{r, cc})
-					claimed[Pos{r, cc}] = true
+					buf = append(buf, Pos{r, cc})
 				}
-				f.addChannel(Horizontal, left, right, cellsRun)
+				f.addChannel(Horizontal, left, right, buf[lo:len(buf):len(buf)])
 			}
 			c = end + 1
 		}
@@ -81,14 +93,13 @@ func (f *Fabric) deriveChannels() error {
 	for c := 0; c < f.Cols; c++ {
 		r := 0
 		for r < f.Rows {
-			p := Pos{r, c}
-			if f.At(p) != Channel || claimed[p] {
+			if f.At(Pos{r, c}) != Channel || claimed(r, c) {
 				r++
 				continue
 			}
 			start := r
 			end := r
-			for end+1 < f.Rows && f.At(Pos{end + 1, c}) == Channel && !claimed[Pos{end + 1, c}] {
+			for end+1 < f.Rows && f.At(Pos{end + 1, c}) == Channel && !claimed(end+1, c) {
 				end++
 			}
 			top := f.JunctionAt(Pos{start - 1, c})
@@ -96,20 +107,18 @@ func (f *Fabric) deriveChannels() error {
 			if top < 0 || bottom < 0 {
 				return fmt.Errorf("fabric: channel run at row %d..%d col %d lacks junction endpoints", start, end, c)
 			}
-			cellsRun := make([]Pos, 0, end-start+1)
+			lo := len(buf)
 			for rr := start; rr <= end; rr++ {
-				cellsRun = append(cellsRun, Pos{rr, c})
-				claimed[Pos{rr, c}] = true
+				buf = append(buf, Pos{rr, c})
 			}
-			f.addChannel(Vertical, top, bottom, cellsRun)
+			f.addChannel(Vertical, top, bottom, buf[lo:len(buf):len(buf)])
 			r = end + 1
 		}
 	}
 	// Every channel cell must now be claimed.
 	for r := 0; r < f.Rows; r++ {
 		for c := 0; c < f.Cols; c++ {
-			p := Pos{r, c}
-			if f.At(p) == Channel && !claimed[p] {
+			if f.At(Pos{r, c}) == Channel && !claimed(r, c) {
 				return fmt.Errorf("fabric: channel cell (%d,%d) not attached to junctions on both ends", r, c)
 			}
 		}
@@ -124,46 +133,67 @@ func (f *Fabric) addChannel(o Orientation, j1, j2 int, cells []Pos) {
 		Length: len(cells), Cells: cells,
 	})
 	for _, p := range cells {
-		f.channelAt[p] = id
+		f.index[p.Row*f.Cols+p.Col] = int32(id)
 	}
 }
 
-func (f *Fabric) deriveTraps() error {
+// deriveTraps numbers the numTraps trap cells in row-major order and
+// attaches each to its channel. Each channel's Traps list, in ID
+// order, is carved from one slice once every trap is numbered.
+func (f *Fabric) deriveTraps(numTraps int) error {
+	f.Traps = make([]TrapInfo, 0, numTraps)
+	perChannel := make([]int, len(f.Channels)+1)
 	for r := 0; r < f.Rows; r++ {
 		for c := 0; c < f.Cols; c++ {
 			p := Pos{r, c}
 			if f.At(p) != Trap {
 				continue
 			}
-			var attach []Pos
-			for _, n := range [4]Pos{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
-				if f.At(n) == Channel {
-					attach = append(attach, n)
+			var attach Pos
+			n := 0
+			for _, nb := range [4]Pos{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
+				if f.At(nb) == Channel {
+					attach = nb
+					n++
 				}
 			}
-			if len(attach) != 1 {
-				return fmt.Errorf("fabric: trap (%d,%d) adjacent to %d channel cells, want exactly 1", r, c, len(attach))
+			if n != 1 {
+				return fmt.Errorf("fabric: trap (%d,%d) adjacent to %d channel cells, want exactly 1", r, c, n)
 			}
-			chID := f.channelAt[attach[0]]
-			ch := &f.Channels[chID]
-			offset := -1
-			for i, cc := range ch.Cells {
-				if cc == attach[0] {
-					offset = i
-					break
-				}
-			}
-			if offset < 0 {
+			chID := f.ChannelAt(attach)
+			// A channel is a straight run, so the attachment cell sits
+			// as many cells along it as it is away from its first cell.
+			cells := f.Channels[chID].Cells
+			offset := ManhattanDist(cells[0], attach)
+			if offset >= len(cells) || cells[offset] != attach {
 				return fmt.Errorf("fabric: internal error: attachment cell of trap (%d,%d) not in channel %d", r, c, chID)
 			}
 			id := len(f.Traps)
 			f.Traps = append(f.Traps, TrapInfo{ID: id, Pos: p, Channel: chID, Offset: offset})
-			f.trapAt[p] = id
-			ch.Traps = append(ch.Traps, id)
+			f.index[r*f.Cols+c] = int32(id)
+			perChannel[chID+1]++
 		}
 	}
 	if len(f.Traps) == 0 {
 		return fmt.Errorf("fabric: no traps")
+	}
+	// perChannel[ch] becomes channel ch's first slot in ids, then its
+	// fill cursor.
+	for ch := range f.Channels {
+		perChannel[ch+1] += perChannel[ch]
+	}
+	ids := make([]int, len(f.Traps))
+	for _, tr := range f.Traps {
+		ids[perChannel[tr.Channel]] = tr.ID
+		perChannel[tr.Channel]++
+	}
+	lo := 0
+	for ch := range f.Channels {
+		hi := perChannel[ch]
+		if hi > lo {
+			f.Channels[ch].Traps = ids[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return nil
 }
@@ -192,8 +222,8 @@ func (f *Fabric) Validate() error {
 			if f.At(p) != Channel {
 				return fmt.Errorf("fabric: channel %d covers non-channel cell (%d,%d)", i, p.Row, p.Col)
 			}
-			if f.channelAt[p] != i {
-				return fmt.Errorf("fabric: cell (%d,%d) claims channel %d, expected %d", p.Row, p.Col, f.channelAt[p], i)
+			if id := f.ChannelAt(p); id != i {
+				return fmt.Errorf("fabric: cell (%d,%d) claims channel %d, expected %d", p.Row, p.Col, id, i)
 			}
 		}
 		// Endpoint adjacency.

@@ -126,9 +126,9 @@ type Fabric struct {
 	// search relies on; Validate checks it.
 	Traps []TrapInfo
 
-	junctionAt map[Pos]int
-	trapAt     map[Pos]int
-	channelAt  map[Pos]int // channel cell -> channel ID
+	// index holds, per cell, the ID of the junction, channel or trap
+	// at that cell (cells says which), and -1 at every other cell.
+	index []int32
 }
 
 // At returns the kind of the cell at p (Empty outside the grid).
@@ -140,27 +140,21 @@ func (f *Fabric) At(p Pos) CellKind {
 }
 
 // JunctionAt returns the junction ID at p, or -1.
-func (f *Fabric) JunctionAt(p Pos) int {
-	if id, ok := f.junctionAt[p]; ok {
-		return id
-	}
-	return -1
-}
+func (f *Fabric) JunctionAt(p Pos) int { return f.idAt(p, Junction) }
 
 // TrapAt returns the trap ID at p, or -1.
-func (f *Fabric) TrapAt(p Pos) int {
-	if id, ok := f.trapAt[p]; ok {
-		return id
-	}
-	return -1
-}
+func (f *Fabric) TrapAt(p Pos) int { return f.idAt(p, Trap) }
 
 // ChannelAt returns the channel ID covering cell p, or -1.
-func (f *Fabric) ChannelAt(p Pos) int {
-	if id, ok := f.channelAt[p]; ok {
-		return id
+func (f *Fabric) ChannelAt(p Pos) int { return f.idAt(p, Channel) }
+
+// idAt returns the ID the index holds for p if p is a cell of kind k,
+// or -1.
+func (f *Fabric) idAt(p Pos, k CellKind) int {
+	if f.At(p) != k {
+		return -1
 	}
-	return -1
+	return int(f.index[p.Row*f.Cols+p.Col])
 }
 
 // Center returns the geometric center cell of the grid.

@@ -213,6 +213,72 @@ func TestFamilyInvariants(t *testing.T) {
 	}
 }
 
+// TestCellIndexMatchesTopology: JunctionAt, TrapAt and ChannelAt
+// answer, at every cell and on a one-cell ring outside the grid, what
+// the Junctions, Channels[].Cells and Traps slices say.
+func TestCellIndexMatchesTopology(t *testing.T) {
+	fabs := map[string]*fabric.Fabric{"small": fabric.Small(), "quale45x85": fabric.Quale4585()}
+	for _, spec := range familySpecs() {
+		if f, _, err := fabric.Resolve(spec); err == nil {
+			fabs[spec] = f
+		}
+	}
+	for name, f := range fabs {
+		junction := map[fabric.Pos]int{}
+		channel := map[fabric.Pos]int{}
+		trap := map[fabric.Pos]int{}
+		for _, j := range f.Junctions {
+			junction[j.Pos] = j.ID
+		}
+		for _, ch := range f.Channels {
+			for _, p := range ch.Cells {
+				channel[p] = ch.ID
+			}
+		}
+		for _, tr := range f.Traps {
+			trap[tr.Pos] = tr.ID
+		}
+		want := func(m map[fabric.Pos]int, p fabric.Pos) int {
+			if id, ok := m[p]; ok {
+				return id
+			}
+			return -1
+		}
+		for r := -1; r <= f.Rows; r++ {
+			for c := -1; c <= f.Cols; c++ {
+				p := fabric.Pos{Row: r, Col: c}
+				if got, w := f.JunctionAt(p), want(junction, p); got != w {
+					t.Fatalf("%s: JunctionAt(%v) = %d, want %d", name, p, got, w)
+				}
+				if got, w := f.ChannelAt(p), want(channel, p); got != w {
+					t.Fatalf("%s: ChannelAt(%v) = %d, want %d", name, p, got, w)
+				}
+				if got, w := f.TrapAt(p), want(trap, p); got != w {
+					t.Fatalf("%s: TrapAt(%v) = %d, want %d", name, p, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestResolveAllocBudget gates the fabric build's allocations: one
+// per-cell index replaces per-cell map entries, and channel cells and
+// trap lists are carved from one slice each, so resolving grid 97
+// allocates 28 objects. Lookup maps and per-channel slices cost
+// thousands more (3,669), so the gate fails if they come back.
+func TestResolveAllocBudget(t *testing.T) {
+	const budget = 64
+	avg := testing.AllocsPerRun(3, func() {
+		if _, _, err := fabric.Resolve("grid(rows=97,cols=97,pitch=4)"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Resolve(grid 97) allocates %.0f objects", avg)
+	if avg > budget {
+		t.Errorf("Resolve(grid 97) allocates %.0f objects, budget %d", avg, budget)
+	}
+}
+
 // TestGridStatsClosedForm pins the generator's statistics to closed
 // forms on exact-span grids (rows-1 and cols-1 multiples of the
 // pitch): with jr×jc junctions the fabric must have jr*(jc-1) +

@@ -116,3 +116,37 @@ func TestResetRestoresFreshGraphBehavior(t *testing.T) {
 		t.Errorf("post-Reset fingerprint %#x/%d, fresh graph %#x/%d", h1, q1, h2, q2)
 	}
 }
+
+// TestNewAllocBudget gates the graph build's allocations: New sizes
+// its node, group and edge arrays from the fabric and lays out the
+// CSR by counting, so neither a classic graph (quale45x85, 27 objects)
+// nor an ALT one with its landmark tables (grid 97, ~112) allocates
+// per node. Per-node adjacency lists cost thousands more (2,205 and
+// 5,401), so the gate fails if they come back.
+func TestNewAllocBudget(t *testing.T) {
+	grid97, _, err := fabric.Resolve("grid(rows=97,cols=97,pitch=4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		f      *fabric.Fabric
+		alt    bool
+		budget float64
+	}{
+		{"quale45x85", fabric.Quale4585(), false, 64},
+		{"grid97", grid97, true, 256},
+	} {
+		var g *Graph
+		avg := testing.AllocsPerRun(3, func() {
+			g = New(tc.f, gates.Default(), Options{TurnAware: true})
+		})
+		if g.ALTEnabled() != tc.alt {
+			t.Fatalf("%s: ALTEnabled %v, want %v", tc.name, g.ALTEnabled(), tc.alt)
+		}
+		t.Logf("%s: New allocates %.0f objects", tc.name, avg)
+		if avg > tc.budget {
+			t.Errorf("%s: New allocates %.0f objects, budget %.0f", tc.name, avg, tc.budget)
+		}
+	}
+}

@@ -42,7 +42,12 @@ package routegraph
 // classic coin-flip Dijkstra path, so every pre-change golden
 // fingerprint and Table-2 golden is preserved bit for bit.
 
-import "repro/internal/gates"
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/gates"
+)
 
 const (
 	// altAutoNodes is the node count at which Options.Landmarks == 0
@@ -59,13 +64,14 @@ type altState struct {
 	landmarks []int32
 	// dist is the flattened landmark table: dist[l*numNodes+n] is the
 	// exact uncongested (SelectBase) distance from landmarks[l] to
-	// node n, timeInf when unreachable.
-	dist     []gates.Time
+	// node n, saturated at math.MaxInt32, which also stands for
+	// unreachable (see saturate).
+	dist     []int32
 	numNodes int
 
 	search altSearcher
 	// hDst caches d(L, dst) for the query in flight.
-	hDst [altDefaultLandmarks]gates.Time
+	hDst [altDefaultLandmarks]int32
 }
 
 // altEnabled decides whether a graph uses ALT: forced on (>0),
@@ -96,7 +102,8 @@ func (g *Graph) Landmarks() []int32 {
 
 // buildALT selects landmarks by farthest-point traversal and fills
 // their distance tables. Deterministic: seeded from node 0, ties on
-// equal distance resolved toward the lower node ID.
+// equal distance resolved toward the lower node ID. The selection
+// reads exact distances; only the stored tables saturate.
 func (g *Graph) buildALT(count int) {
 	n := len(g.Nodes)
 	if count <= 0 {
@@ -108,34 +115,35 @@ func (g *Graph) buildALT(count int) {
 	if count > n {
 		count = n
 	}
-	a := &altState{numNodes: n}
+	a := &altState{numNodes: n, dist: make([]int32, 0, count*n)}
 	a.search.init(n)
 
+	w := g.landmarkWeights()
+	var q radixHeap
 	// minDist[v] = distance from v to its nearest chosen landmark,
 	// maintained across rounds for the farthest-point choice.
 	minDist := make([]gates.Time, n)
 	for i := range minDist {
 		minDist[i] = timeInf
 	}
-	scratch := make([]gates.Time, n)
-	g.baseSSSP(0, scratch)
+	row := make([]gates.Time, n)
+	g.baseSSSP(0, w, &q, row)
 	for len(a.landmarks) < count {
 		var next int32
 		if len(a.landmarks) == 0 {
 			// First landmark: the node farthest from node 0 — a
 			// peripheral node, which is what ALT wants.
-			next = farthest(scratch)
+			next = farthest(row)
 		} else {
 			next = farthest(minDist)
 		}
 		a.landmarks = append(a.landmarks, next)
-		row := make([]gates.Time, n)
-		g.baseSSSP(next, row)
-		a.dist = append(a.dist, row...)
+		g.baseSSSP(next, w, &q, row)
 		improved := false
-		for v := 0; v < n; v++ {
-			if row[v] < minDist[v] {
-				minDist[v] = row[v]
+		for v, d := range row {
+			a.dist = append(a.dist, saturate(d))
+			if d < minDist[v] {
+				minDist[v] = d
 				improved = true
 			}
 		}
@@ -146,6 +154,22 @@ func (g *Graph) buildALT(count int) {
 		}
 	}
 	g.alt = a
+}
+
+// saturate stores an exact distance in a landmark table, clamping it
+// to math.MaxInt32; unreachable (timeInf) clamps to the same value.
+// Clamping is 1-Lipschitz (|sat(a) - sat(b)| <= |a - b|), so each
+// landmark's term |sat(d(L,dst)) - sat(d(L,n))| is still at most
+// d(n,dst) and still changes by at most an edge's weight along an
+// edge: the heuristic stays admissible and consistent. A landmark
+// reaches all of a connected component or none of it, so where a
+// search can reach its destination, a landmark unreachable from one
+// node it explores is unreachable from all of them and adds 0.
+func saturate(d gates.Time) int32 {
+	if d >= math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int32(d)
 }
 
 // farthest returns the index of the maximum finite distance (lowest
@@ -160,77 +184,110 @@ func farthest(dist []gates.Time) int32 {
 	return best
 }
 
+// landmarkWeights returns the SelectBase weight of each CSR slot's
+// edge, or -1 where the edge's group has capacity 0 (a defective
+// element, impassable).
+func (g *Graph) landmarkWeights() []gates.Time {
+	w := make([]gates.Time, len(g.edgeList))
+	for k, eid := range g.edgeList {
+		e := &g.Edges[eid]
+		w[k] = e.SelectBase
+		if g.Groups[e.Group].Capacity <= 0 {
+			w[k] = -1
+		}
+	}
+	return w
+}
+
 // baseSSSP floods exact shortest-path distances from src over the
-// uncongested SelectBase weights into out (timeInf = unreachable).
-// Defective elements (capacity-0 groups) are impassable; trap nodes
-// are traversable here — that only weakens the resulting lower
-// bounds, never invalidates them, because the real search is more
-// restricted than this relaxation.
-func (g *Graph) baseSSSP(src int32, out []gates.Time) {
+// per-slot landmark weights w into out (timeInf = unreachable).
+// Defective elements (weight -1) are impassable; trap nodes are
+// traversable here — that only weakens the resulting lower bounds,
+// never invalidates them, because the real search is more restricted
+// than this relaxation.
+func (g *Graph) baseSSSP(src int32, w []gates.Time, q *radixHeap, out []gates.Time) {
 	for i := range out {
 		out[i] = timeInf
 	}
-	type qn struct {
-		node int32
-		dist gates.Time
-	}
-	heap := make([]qn, 0, 256)
-	push := func(x qn) {
-		heap = append(heap, x)
-		j := len(heap) - 1
-		for j > 0 {
-			i := (j - 1) / 2
-			if !(heap[j].dist < heap[i].dist) {
-				break
-			}
-			heap[i], heap[j] = heap[j], heap[i]
-			j = i
-		}
-	}
-	pop := func() qn {
-		h := heap
-		n := len(h) - 1
-		h[0], h[n] = h[n], h[0]
-		i := 0
-		for {
-			j1 := 2*i + 1
-			if j1 >= n {
-				break
-			}
-			j := j1
-			if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
-				j = j2
-			}
-			if !(h[j].dist < h[i].dist) {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			i = j
-		}
-		heap = h[:n]
-		return h[n]
-	}
 	out[src] = 0
-	push(qn{node: src, dist: 0})
-	start, list, other := g.edgeStart, g.edgeList, g.edgeOther
-	for len(heap) > 0 {
-		cur := pop()
-		if cur.dist > out[cur.node] {
+	q.reset()
+	q.push(0, src)
+	start, other := g.edgeStart, g.edgeOther
+	for q.size > 0 {
+		d, u := q.pop()
+		if d > out[u] {
 			continue
 		}
-		for k := start[cur.node]; k < start[cur.node+1]; k++ {
-			e := &g.Edges[list[k]]
-			if gr := &g.Groups[e.Group]; gr.Capacity <= 0 {
+		for k := start[u]; k < start[u+1]; k++ {
+			if w[k] < 0 {
 				continue
 			}
-			nd := cur.dist + e.SelectBase
-			nx := other[k]
-			if nd < out[nx] {
-				out[nx] = nd
-				push(qn{node: nx, dist: nd})
+			nd, v := d+w[k], other[k]
+			if nd < out[v] {
+				out[v] = nd
+				q.push(nd, v)
 			}
 		}
 	}
+}
+
+// radixHeap is a monotone priority queue for Dijkstra over
+// non-negative weights: no key pushed is below the last key popped.
+// A key lives in the bucket indexed by the highest bit in which it
+// differs from that last key, so bucket 0 holds keys equal to it.
+// When bucket 0 runs dry, the lowest non-empty bucket's minimum
+// becomes the last key and the bucket's entries move to lower
+// buckets; each entry moves at most 64 times. It is exact for any
+// non-negative weights, zero included, and its bucket count does not
+// depend on the weights' size.
+type radixHeap struct {
+	last    gates.Time
+	size    int
+	buckets [65][]radixEntry
+}
+
+type radixEntry struct {
+	key  gates.Time
+	node int32
+}
+
+func (q *radixHeap) reset() {
+	for i := range q.buckets {
+		q.buckets[i] = q.buckets[i][:0]
+	}
+	q.last, q.size = 0, 0
+}
+
+func (q *radixHeap) push(key gates.Time, node int32) {
+	b := bits.Len64(uint64(key ^ q.last))
+	q.buckets[b] = append(q.buckets[b], radixEntry{key, node})
+	q.size++
+}
+
+// pop removes an entry with the minimum key; q must not be empty.
+func (q *radixHeap) pop() (gates.Time, int32) {
+	if len(q.buckets[0]) == 0 {
+		i := 1
+		for len(q.buckets[i]) == 0 {
+			i++
+		}
+		b := q.buckets[i]
+		m := b[0].key
+		for _, x := range b[1:] {
+			m = min(m, x.key)
+		}
+		q.last = m
+		for _, x := range b {
+			j := bits.Len64(uint64(x.key ^ m))
+			q.buckets[j] = append(q.buckets[j], x)
+		}
+		q.buckets[i] = b[:0]
+	}
+	b := q.buckets[0]
+	x := b[len(b)-1]
+	q.buckets[0] = b[:len(b)-1]
+	q.size--
+	return x.key, x.node
 }
 
 // altSearcher is the reusable A*/Dijkstra state of the canonical
@@ -327,14 +384,11 @@ func (a *altState) heuristicTo(dst int32) func(n int32) gates.Time {
 		a.hDst[l] = a.dist[l*a.numNodes+int(dst)]
 	}
 	return func(n int32) gates.Time {
-		var h gates.Time
+		var h int32
 		for l := range a.landmarks {
-			dn := a.dist[l*a.numNodes+int(n)]
-			dd := a.hDst[l]
-			if dn == timeInf || dd == timeInf {
-				continue
-			}
-			d := dd - dn
+			// Both entries lie in [0, MaxInt32], so the difference
+			// cannot overflow.
+			d := a.hDst[l] - a.dist[l*a.numNodes+int(n)]
 			if d < 0 {
 				d = -d
 			}
@@ -342,7 +396,7 @@ func (a *altState) heuristicTo(dst int32) func(n int32) gates.Time {
 				h = d
 			}
 		}
-		return h
+		return gates.Time(h)
 	}
 }
 

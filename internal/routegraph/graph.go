@@ -156,12 +156,11 @@ type Graph struct {
 
 	rng *rand.Rand // arbitrary-tie coin, seeded by Opts.TieSeed
 
-	adj       [][]int32 // build-time only; flattened into CSR by New
-	trapNode  []int     // fabric trap ID -> node ID
-	juncNodeH []int     // fabric junction ID -> JuncH node ID
-	juncNodeV []int     // fabric junction ID -> JuncV node ID
-	chanGroup []int     // fabric channel ID -> group ID
-	juncGroup []int     // fabric junction ID -> group ID
+	trapNode  []int // fabric trap ID -> node ID
+	juncNodeH []int // fabric junction ID -> JuncH node ID
+	juncNodeV []int // fabric junction ID -> JuncV node ID
+	chanGroup []int // fabric channel ID -> group ID
+	juncGroup []int // fabric junction ID -> group ID
 
 	// CSR adjacency: the incident edges of node n are
 	// edgeList[edgeStart[n]:edgeStart[n+1]], and edgeOther holds the
@@ -214,11 +213,23 @@ type Graph struct {
 
 // New builds the routing graph for a fabric under the given
 // technology parameters.
+//
+// Every array is sized from the fabric up front. A junction has two
+// nodes, a group and a turn edge; a channel a group and a channel
+// edge; a trap a node and two access edges; each pair of traps on a
+// channel an edge; and defective junctions share one extra group.
 func New(f *fabric.Fabric, tech gates.Tech, opts Options) *Graph {
+	numEdges := len(f.Junctions) + len(f.Channels) + 2*len(f.Traps)
+	for _, ch := range f.Channels {
+		numEdges += len(ch.Traps) * (len(ch.Traps) - 1) / 2
+	}
 	g := &Graph{
 		Fabric:    f,
 		Tech:      tech,
 		Opts:      opts,
+		Nodes:     make([]Node, 0, 2*len(f.Junctions)+len(f.Traps)),
+		Edges:     make([]Edge, 0, numEdges),
+		Groups:    make([]Group, 0, len(f.Junctions)+len(f.Channels)+1),
 		rng:       rand.New(rand.NewSource(opts.TieSeed + 1)),
 		trapNode:  make([]int, len(f.Traps)),
 		juncNodeH: make([]int, len(f.Junctions)),
@@ -243,8 +254,8 @@ func New(f *fabric.Fabric, tech gates.Tech, opts Options) *Graph {
 		}
 	}
 	g.buildEdges()
-	g.isolateDefectiveJunctions(opts.DefectiveJunctions)
 	g.buildCSR()
+	g.isolateDefectiveJunctions(opts.DefectiveJunctions)
 	g.mult = make([]int32, len(g.Groups))
 	for id := range g.Groups {
 		g.setMult(id)
@@ -274,7 +285,7 @@ func (g *Graph) isolateDefectiveJunctions(ids []int) {
 			dead = g.addGroup(Group{Kind: JunctionGroup, Index: -1})
 		}
 		for _, n := range [2]int{g.juncNodeH[j], g.juncNodeV[j]} {
-			for _, eid := range g.adj[n] {
+			for _, eid := range g.IncidentEdges(n) {
 				g.Edges[eid].Group = dead
 			}
 		}
@@ -318,33 +329,38 @@ func junctionPrefixEnds(start, other []int32, kinds []NodeKind) []int32 {
 	return ends
 }
 
-// buildCSR flattens the build-time adjacency lists into the CSR
-// arrays and releases them.
+// buildCSR lays the edges out as CSR adjacency: a degree count sizes
+// each node's slots, then one pass over the edges in ID order fills
+// them, so every node lists its incident edges in increasing ID order.
 func (g *Graph) buildCSR() {
 	n := len(g.Nodes)
 	g.edgeStart = make([]int32, n+1)
-	total := 0
-	for i, a := range g.adj {
-		g.edgeStart[i] = int32(total)
-		total += len(a)
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		g.edgeStart[e.A+1]++
+		g.edgeStart[e.B+1]++
 	}
-	g.edgeStart[n] = int32(total)
-	g.edgeList = make([]int32, 0, total)
-	g.edgeOther = make([]int32, 0, total)
+	for i := 0; i < n; i++ {
+		g.edgeStart[i+1] += g.edgeStart[i]
+	}
+	total := g.edgeStart[n]
+	g.edgeList = make([]int32, total)
+	g.edgeOther = make([]int32, total)
+	next := make([]int32, n)
+	copy(next, g.edgeStart)
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		k := next[e.A]
+		g.edgeList[k], g.edgeOther[k] = int32(i), int32(e.B)
+		next[e.A]++
+		k = next[e.B]
+		g.edgeList[k], g.edgeOther[k] = int32(i), int32(e.A)
+		next[e.B]++
+	}
 	g.nodeKind = make([]NodeKind, n)
-	for i, a := range g.adj {
+	for i := range g.Nodes {
 		g.nodeKind[i] = g.Nodes[i].Kind
-		for _, eid := range a {
-			e := &g.Edges[eid]
-			other := e.A
-			if other == i {
-				other = e.B
-			}
-			g.edgeList = append(g.edgeList, eid)
-			g.edgeOther = append(g.edgeOther, int32(other))
-		}
 	}
-	g.adj = nil
 }
 
 // Reset restores the graph to its just-built state: every capacity
@@ -433,7 +449,6 @@ func (g *Graph) TrapReachable(trapID int) bool {
 func (g *Graph) addNode(n Node) int {
 	n.ID = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
-	g.adj = append(g.adj, nil)
 	return n.ID
 }
 
@@ -454,8 +469,6 @@ func (g *Graph) addEdge(a, b, group int, moves, turns int) int {
 		SelectBase: sel, RealDelay: real, Moves: moves, Turns: turns,
 	}
 	g.Edges = append(g.Edges, e)
-	g.adj[a] = append(g.adj[a], int32(e.ID))
-	g.adj[b] = append(g.adj[b], int32(e.ID))
 	return e.ID
 }
 

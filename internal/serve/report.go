@@ -18,9 +18,10 @@ import (
 // defaults, so `{"circuit":"[[5,1,3]]"}` is a complete request.
 type Request struct {
 	// Circuit is a registry source spec (circuits.Resolve): a
-	// built-in label like "[[5,1,3]]", a generator family call like
-	// "rand(q=20,g=400,seed=7)", or "qasm(path=...)" for a file on
-	// the server's filesystem.
+	// built-in label like "[[5,1,3]]" or a generator family call like
+	// "rand(q=20,g=400,seed=7)" of at most 4,096 qubits and 65,536
+	// gates. The file-backed "qasm(path=...)" family is refused with
+	// a 400 before any file is read; send the program in QASM.
 	Circuit string `json:"circuit,omitempty"`
 	// QASM is an inline program (the paper's QUALE-style dialect or
 	// OpenQASM 2.0, auto-detected). Its canonical circuit name is

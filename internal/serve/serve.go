@@ -44,6 +44,17 @@ import (
 // rejected with 400 before any parsing.
 const maxRequestBytes = 4 << 20
 
+// maxSpecQubits and maxSpecGates bound a circuit named by registry
+// spec. A spec is a few bytes however much it builds (the 19-byte
+// "rand(q=2,g=1000000)" allocates ~300 MB), and up to
+// Workers+QueueDepth requests resolve at once, so specs are bounded
+// from their parameters before they are built. The served fabrics
+// hold at most 462 traps.
+const (
+	maxSpecQubits = 4096
+	maxSpecGates  = 65536
+)
+
 // Config sizes the service.
 type Config struct {
 	// Workers is the warm Mapper pool size — the number of mappings
@@ -172,6 +183,9 @@ func (s *Server) resolve(rq *Request) (*resolved, error) {
 	case rq.Circuit != "" && rq.QASM != "":
 		return nil, fmt.Errorf("%w: circuit and qasm are mutually exclusive", errBadRequest)
 	case rq.Circuit != "":
+		if err := checkSpec(rq.Circuit); err != nil {
+			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+		}
 		b, err := circuits.Resolve(rq.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
@@ -230,6 +244,25 @@ func (s *Server) resolve(rq *Request) (*resolved, error) {
 	}
 	r.key = canonicalKey(r.circuit, r.fab.Name, resultKey, noiseKey, rq.Trace)
 	return &r, nil
+}
+
+// checkSpec refuses, before anything is built or read, a circuit
+// spec the service does not resolve: a family that reads a file on
+// this host (its contents or its absence would leak into the error),
+// or a circuit over the size caps.
+func checkSpec(spec string) error {
+	b, err := circuits.SpecBound(spec)
+	switch {
+	case err != nil:
+		return err
+	case b.ReadsFile:
+		return fmt.Errorf("circuit family %q reads files and is not served; send the program inline in \"qasm\"", b.Family)
+	case b.Qubits > maxSpecQubits:
+		return fmt.Errorf("circuit spec %q has up to %d qubits, over the service cap of %d", spec, b.Qubits, maxSpecQubits)
+	case b.Gates > maxSpecGates:
+		return fmt.Errorf("circuit spec %q has up to %d gates, over the service cap of %d", spec, b.Gates, maxSpecGates)
+	}
+	return nil
 }
 
 // innerParallel clamps a request's worker wish to the per-mapping

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -178,6 +181,69 @@ func TestBadRequests(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /map: status %d, want 405", w.Code)
+	}
+}
+
+// TestFileBackedSpecRefused: the service never resolves a circuit
+// spec that reads a file on its own host, however the family is
+// spelled and whether or not the file exists or parses. Each answers
+// 400 with the refusal, never the file's contents or an open error.
+func TestFileBackedSpecRefused(t *testing.T) {
+	dir := t.TempDir()
+	const marker = "TOPSECRET-marker-line"
+	secret := filepath.Join(dir, "secret.qasm")
+	program := filepath.Join(dir, "program.qasm")
+	if err := os.WriteFile(secret, []byte(marker+"\nsecond line\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(program, []byte("qubit a\nh a\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	h := testServer().Handler()
+	specs := []string{
+		"qasm(path=" + secret + ")", "QASM(path=" + secret + ")", " qasm(path=" + secret + ")",
+		"qasm(path=" + program + ")", "qasm(path=" + filepath.Join(dir, "missing.qasm") + ")",
+	}
+	for _, spec := range specs {
+		body, err := json.Marshal(Request{Circuit: spec, Fabric: "small", Heuristic: "qspr-center"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := postMap(t, h, string(body))
+		got := w.Body.String()
+		if w.Code != http.StatusBadRequest || !strings.Contains(got, `reads files and is not served`) {
+			t.Errorf("%q: status %d %q, want 400 refusing the family", spec, w.Code, got)
+		}
+		if strings.Contains(got, marker) || strings.Contains(got, "open ") || strings.Contains(got, "no such file") {
+			t.Errorf("%q: response %q reveals the file", spec, got)
+		}
+	}
+}
+
+// TestOversizedSpecRefused: a generated circuit over the service caps
+// answers 400 naming the cap, and is refused from its parameters
+// without being built: the request allocates under 1 MB, against the
+// ~30 MB that building a 100,000-gate circuit takes.
+func TestOversizedSpecRefused(t *testing.T) {
+	h := testServer().Handler()
+	cases := []struct{ spec, want string }{
+		{"rand(q=2,g=100000)", "over the service cap of 65536"},
+		{"ghz(q=5000)", "over the service cap of 4096"},
+		{"grid(rows=3037000500,cols=3037000500,layers=9)", "over the service cap of 4096"},
+	}
+	for _, tc := range cases {
+		body := fmt.Sprintf(`{"circuit":%q,"fabric":"small","heuristic":"qspr-center"}`, tc.spec)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w := postMap(t, h, body)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s: status %d %q, want 400 %q", tc.spec, w.Code, w.Body.String(), tc.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: refusing allocated %d bytes, want < 1 MB", tc.spec, alloc)
+		}
 	}
 }
 
