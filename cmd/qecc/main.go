@@ -9,58 +9,68 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/circuits"
+	"repro/internal/gates"
 	"repro/internal/qidg"
 	"repro/internal/stabilizer"
-
-	"repro/internal/gates"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("qecc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		code = flag.String("code", "", "code name, e.g. '[[9,1,3]]'")
-		list = flag.Bool("list", false, "list available codes")
-		gens = flag.Bool("gens", false, "print stabilizer generators instead of the circuit")
+		code = fs.String("code", "", "code name, e.g. '[[9,1,3]]'")
+		list = fs.Bool("list", false, "list available codes")
+		gens = fs.Bool("gens", false, "print stabilizer generators instead of the circuit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "qecc:", err)
+		return 1
+	}
 	if *list {
 		for _, b := range circuits.All() {
 			g, err := qidg.Build(b.Program)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("%-12s %2d qubits, %3d gates, ideal latency %v (%s)\n",
+			fmt.Fprintf(stdout, "%-12s %2d qubits, %3d gates, ideal latency %v (%s)\n",
 				b.Name, b.Program.NumQubits(), len(b.Program.Gates()),
 				g.CriticalPathLatency(gates.Default()), b.Source)
 		}
-		return
+		return 0
 	}
 	if *code == "" {
-		fatal(fmt.Errorf("-code or -list required"))
+		return fail(fmt.Errorf("-code or -list required"))
 	}
 	if *gens {
 		for _, c := range stabilizer.KnownCodes() {
 			if c.Name == *code {
 				for i := 0; i < c.N-c.K; i++ {
-					fmt.Println(c.GeneratorString(i))
+					fmt.Fprintln(stdout, c.GeneratorString(i))
 				}
-				return
+				return 0
 			}
 		}
-		fatal(fmt.Errorf("unknown code %q", *code))
+		return fail(fmt.Errorf("unknown code %q", *code))
 	}
 	b, err := circuits.ByName(*code)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Print(b.Program.String())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qecc:", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, b.Program.String())
+	return 0
 }

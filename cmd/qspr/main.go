@@ -346,18 +346,7 @@ func runSweep(stdout, stderr io.Writer, fail func(error) int, benches []circuits
 	if err != nil {
 		return fail(err)
 	}
-	if pareto {
-		if out == "" {
-			err = rep.WritePareto(stdout, format)
-		} else {
-			err = rep.WriteParetoFile(format, out)
-		}
-	} else if out == "" {
-		err = rep.Write(stdout, format)
-	} else {
-		err = rep.WriteFile(format, out)
-	}
-	if err != nil {
+	if err := rep.Emit(stdout, format, out, pareto); err != nil {
 		return fail(err)
 	}
 	code := 0

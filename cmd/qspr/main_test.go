@@ -7,11 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/circuits"
-	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -287,15 +287,27 @@ func TestBackendFlag(t *testing.T) {
 	if !strings.Contains(out.String(), "backend:          swap") {
 		t.Errorf("output does not echo the backend:\n%s", out.String())
 	}
+	// Both backends map the same circuit to different reports; only
+	// the swap report echoes its backend, so ion reports keep the
+	// schema they had before backends existed.
+	ion := cliReport(t, "-circuit", "[[5,1,3]]", "-heuristic", "qspr-center", "-backend", "ion")
+	swap := cliReport(t, "-circuit", "[[5,1,3]]", "-heuristic", "qspr-center", "-backend", "swap")
+	if bytes.Equal(ion, swap) {
+		t.Error("ion and swap backends produced identical reports")
+	}
+	if !bytes.Contains(swap, []byte(`"backend":"swap"`)) {
+		t.Errorf("swap report does not echo its backend:\n%s", swap)
+	}
+	if bytes.Contains(ion, []byte(`"backend"`)) {
+		t.Errorf("ion report carries a backend field:\n%s", ion)
+	}
 	out.Reset()
 	errb.Reset()
 	if code := run([]string{"-circuit", "ghz(q=4)", "-backend", "warp"}, &out, &errb); code != 1 {
 		t.Error("unknown backend accepted")
 	}
-	for _, name := range core.BackendNames() {
-		if !strings.Contains(errb.String(), name) {
-			t.Errorf("diagnostic %q does not list %q", errb.String(), name)
-		}
+	if want := `unknown backend "warp" (valid: ion, swap)`; !strings.Contains(errb.String(), want) {
+		t.Errorf("diagnostic %q lacks %q", errb.String(), want)
 	}
 	out.Reset()
 	errb.Reset()
@@ -313,6 +325,22 @@ func TestBackendFlag(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-noise") {
 		t.Errorf("pareto hint missing: %q", errb.String())
+	}
+}
+
+// TestReportWorkerIndependence: the deterministic report is
+// byte-identical at -inner-parallel 1 and 4, for the annealer's
+// restart chains and for the swap backend's trial portfolio.
+func TestReportWorkerIndependence(t *testing.T) {
+	for _, args := range [][]string{
+		{"-circuit", "[[7,1,3]]", "-heuristic", "anneal", "-anneal-moves", "120", "-anneal-restarts", "2"},
+		{"-circuit", "[[5,1,3]]", "-backend", "swap", "-m", "8"},
+	} {
+		seq := cliReport(t, slices.Concat(args, []string{"-inner-parallel", "1"})...)
+		par := cliReport(t, slices.Concat(args, []string{"-inner-parallel", "4"})...)
+		if !bytes.Equal(seq, par) {
+			t.Errorf("qspr %v: report bytes differ between -inner-parallel 1 and 4:\n%s\n%s", args, seq, par)
+		}
 	}
 }
 

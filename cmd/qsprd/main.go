@@ -37,9 +37,18 @@ import (
 	"repro/internal/serve"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+// main arms the drain before run announces readiness, so a supervisor
+// may send SIGTERM as soon as it reads the "listening on" line. Once
+// the first signal has started the drain, a second one kills the
+// process the default way.
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run serves until ctx is cancelled, then drains in-flight requests.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qsprd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -73,8 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// may treat this line as "ready".
 	fmt.Fprintf(stdout, "qsprd: listening on %s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 	select {
@@ -84,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case <-ctx.Done():
-		stop()
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {

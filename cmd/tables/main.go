@@ -160,10 +160,7 @@ func emit(stdout io.Writer, rep *experiment.Report, format, out string) (bool, e
 	if format == "table" || format == "" {
 		return false, nil
 	}
-	if out == "" {
-		return true, rep.Write(stdout, format)
-	}
-	return true, rep.WriteFile(format, out)
+	return true, rep.Emit(stdout, format, out, false)
 }
 
 func table2(stdout io.Writer, fab *fabric.Fabric, seeds, workers int, format, out string) error {

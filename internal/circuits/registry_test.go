@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -245,6 +246,22 @@ func TestSpecBound(t *testing.T) {
 		b, err := SpecBound(spec)
 		if err != nil || b != (Bound{Family: "qasm", ReadsFile: true}) {
 			t.Errorf("SpecBound(%q) = %+v, %v; want the qasm family marked as reading a file", spec, b, err)
+		}
+	}
+}
+
+// TestGridOverflowRejected: a grid whose rows×cols overflows int is
+// refused, by name, before a cell is visited. The first product wraps
+// negative; the second wraps to 4 and would otherwise pass as a
+// 4-qubit grid and walk 2^62 columns, so the first case's Fatalf
+// keeps a build without the check from ever reaching it.
+func TestGridOverflowRejected(t *testing.T) {
+	side := int(math.Sqrt(float64(math.MaxInt))) + 1
+	for _, dims := range [][2]int{{side, side}, {4, math.MaxInt/2 + 2}} {
+		spec := fmt.Sprintf("grid(rows=%d,cols=%d)", dims[0], dims[1])
+		want := fmt.Sprintf("grid %dx%d has more qubits than an int can count", dims[0], dims[1])
+		if _, err := Resolve(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Resolve(%q) = %v, want an error containing %q", spec, err, want)
 		}
 	}
 }

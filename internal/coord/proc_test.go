@@ -164,59 +164,69 @@ func startWorker(t *testing.T, bin, addr, name string) (*exec.Cmd, *lineWatcher)
 }
 
 // TestProcessWorkerKill9 SIGKILLs a real worker process mid-shard and
-// lets a second worker finish; the coordinated report must be
-// byte-identical to the unsharded run in every format.
+// lets a second worker finish. The coordinator must log the victim
+// leaving and its runs requeued, and its report must be byte-identical
+// to the unsharded run in every format: json directly, csv and
+// markdown through -merge of the coordinator's checkpoint.
 func TestProcessWorkerKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level chaos test")
 	}
 	bin := benchBinary(t)
+	addr := freeAddr(t)
+	dir := t.TempDir()
+	out := filepath.Join(dir, "coord.json")
+
+	// chunk = the whole sweep: the victim provably dies holding an
+	// unfinished lease, so reassignment must happen.
+	args := append([]string{"-coordinate", addr, "-chunk", "24", "-lease-ttl", "5s",
+		"-checkpoint-dir", dir, "-compare=false", "-format", "json", "-out", out}, sweepArgs()...)
+	coordCmd := exec.Command(bin, args...)
+	coordErr, err := coordCmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordLog := watch(t, coordErr, "coord")
+	if err := coordCmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer coordCmd.Process.Kill()
+	coordLog.waitFor(t, "coordinating", 10*time.Second)
+
+	victim, _ := startWorker(t, bin, addr, "victim")
+	// Kill -9 only after the coordinator has accepted records from it
+	// — a genuine mid-shard death.
+	coordLog.waitFor(t, "runs recorded", 30*time.Second)
+	if err := victim.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	victim.Wait()
+	coordLog.waitFor(t, "worker victim left", 20*time.Second)
+	coordLog.waitFor(t, "requeued", 20*time.Second)
+
+	survivor, _ := startWorker(t, bin, addr, "survivor")
+	if err := survivor.Wait(); err != nil {
+		t.Fatalf("survivor: %v", err)
+	}
+	if err := coordCmd.Wait(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
 	for _, format := range []string{"json", "csv", "markdown"} {
 		t.Run(format, func(t *testing.T) {
-			want := goldenRun(t, bin, format)
-			addr := freeAddr(t)
-			dir := t.TempDir()
-			out := filepath.Join(dir, "coord."+format)
-
-			// chunk = the whole sweep: the victim provably dies holding
-			// an unfinished lease, so reassignment must happen.
-			args := append([]string{"-coordinate", addr, "-chunk", "24", "-lease-ttl", "5s",
-				"-checkpoint-dir", dir, "-compare=false", "-format", format, "-out", out}, sweepArgs()...)
-			coordCmd := exec.Command(bin, args...)
-			coordErr, err := coordCmd.StderrPipe()
+			got := out
+			if format != "json" {
+				got = filepath.Join(dir, "merged."+format)
+				merge := exec.Command(bin, "-merge", filepath.Join(dir, "coord.jsonl"), "-compare=false", "-format", format, "-out", got)
+				if msg, err := merge.CombinedOutput(); err != nil {
+					t.Fatalf("-merge: %v\n%s", err, msg)
+				}
+			}
+			b, err := os.ReadFile(got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			coordLog := watch(t, coordErr, "coord")
-			if err := coordCmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer coordCmd.Process.Kill()
-			coordLog.waitFor(t, "coordinating", 10*time.Second)
-
-			victim, _ := startWorker(t, bin, addr, "victim")
-			// Kill -9 only after the coordinator has accepted records
-			// from it — a genuine mid-shard death.
-			coordLog.waitFor(t, "runs recorded", 30*time.Second)
-			if err := victim.Process.Kill(); err != nil {
-				t.Fatal(err)
-			}
-			victim.Wait()
-			coordLog.waitFor(t, "requeued", 20*time.Second)
-
-			survivor, _ := startWorker(t, bin, addr, "survivor")
-			if err := survivor.Wait(); err != nil {
-				t.Fatalf("survivor: %v", err)
-			}
-			if err := coordCmd.Wait(); err != nil {
-				t.Fatalf("coordinator: %v", err)
-			}
-			got, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s report after kill -9 differs from unsharded run", format)
+			if !bytes.Equal(b, goldenRun(t, bin, format)) {
+				t.Errorf("%s report after kill -9 differs from the unsharded run", format)
 			}
 		})
 	}

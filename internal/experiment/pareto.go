@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,21 +166,4 @@ func (rep *Report) WritePareto(w io.Writer, format string) error {
 		return err
 	}
 	return fmt.Errorf("experiment: unknown format %q (json, csv, markdown)", format)
-}
-
-// WriteParetoFile emits the Pareto report to path, or stdout when
-// path is empty — the Pareto twin of WriteFile.
-func (rep *Report) WriteParetoFile(format, path string) error {
-	if path == "" {
-		return rep.WritePareto(os.Stdout, format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WritePareto(f, format); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -44,18 +44,22 @@ func ValidateFormat(format string) error {
 	return fmt.Errorf("experiment: unknown format %q (json, csv, markdown)", format)
 }
 
-// WriteFile emits the report in the named format to path, or to
-// stdout when path is empty — the shared output path of the sweep
-// CLIs.
-func (rep *Report) WriteFile(format, path string) error {
+// Emit writes the report, or with pareto its Pareto-front pivot, in
+// the named format to path, or to stdout when path is empty — the one
+// output step of the sweep CLIs.
+func (rep *Report) Emit(stdout io.Writer, format, path string, pareto bool) error {
+	write := rep.Write
+	if pareto {
+		write = rep.WritePareto
+	}
 	if path == "" {
-		return rep.Write(os.Stdout, format)
+		return write(stdout, format)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.Write(f, format); err != nil {
+	if err := write(f, format); err != nil {
 		f.Close()
 		return err
 	}

@@ -8,6 +8,7 @@ package qasmgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/gates"
@@ -156,6 +157,9 @@ func Star(n, layers int) (*qasm.Program, error) {
 // nearest-neighbor grid — the topology that matches the fabric's own
 // 2-D structure, so a good placer should realize it with short routes.
 func Grid(rows, cols, layers int) (*qasm.Program, error) {
+	if rows > 0 && cols > 0 && rows > math.MaxInt/cols {
+		return nil, fmt.Errorf("qasmgen: grid %dx%d has more qubits than an int can count", rows, cols)
+	}
 	if rows < 1 || cols < 1 || rows*cols < 2 {
 		return nil, fmt.Errorf("qasmgen: grid needs at least 2 qubits")
 	}
