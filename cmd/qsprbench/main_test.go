@@ -191,8 +191,8 @@ func TestCoordinateInProcess(t *testing.T) {
 	if code, _, stderr := bench(t, ctx, "-worker", addr, "-worker-name", "w", "-parallel", "1"); code != 0 || stderr != "qsprbench: worker done\n" {
 		t.Fatalf("worker: code %d: %s", code, stderr)
 	}
-	// The coordinator lingers after the last record to tell stragglers
-	// the sweep is done; cancelling once it says so ends the linger.
+	// The worker has left, so the coordinator stops lingering and
+	// exits on its own once the sweep is complete.
 	var log []string
 	for !slices.Contains(log, "qsprbench: sweep complete: 4/4 runs") {
 		select {
@@ -202,7 +202,6 @@ func TestCoordinateInProcess(t *testing.T) {
 			t.Fatalf("coordinator never completed:\n%s", strings.Join(log, "\n"))
 		}
 	}
-	cancel()
 	if code := <-done; code != 0 {
 		t.Fatalf("coordinator exit code %d", code)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -219,12 +220,15 @@ func TestSpecBound(t *testing.T) {
 			t.Errorf("SpecBound(%q) = %d qubits, %d gates; circuit has %d, %d", spec, b.Qubits, b.Gates, q, g)
 		}
 	}
-	huge := "9223372036854775807"
+	// The extremes of int, whatever its width: a grid side whose square
+	// overflows, and the largest and smallest values.
+	huge := strconv.Itoa(math.MaxInt)
+	side := strconv.Itoa(int(math.Sqrt(float64(math.MaxInt))) + 1)
 	for _, spec := range []string{
 		"rand(q=2,g=" + huge + ")",
 		"ring(q=" + huge + ",layers=" + huge + ")",
-		"grid(rows=4294967296,cols=4294967296,layers=" + huge + ")",
-		"star(q=-9223372036854775808,layers=" + huge + ")",
+		"grid(rows=" + side + ",cols=" + side + ",layers=" + huge + ")",
+		"star(q=" + strconv.Itoa(math.MinInt) + ",layers=" + huge + ")",
 	} {
 		b, err := SpecBound(spec)
 		if err != nil {

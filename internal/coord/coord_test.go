@@ -166,6 +166,68 @@ func TestCoordinatedSweepMatchesUnsharded(t *testing.T) {
 	assertIdentical(t, merged, wantJS, wantCSV, wantMD)
 }
 
+// TestLingerEndsWhenWorkersLeave: once every worker has heard "done"
+// and left, the coordinator returns at once instead of waiting out
+// Linger, with the unsharded report. Restarted on its complete
+// checkpoint, it waits for a first worker, tells it "done" and
+// returns once it leaves.
+func TestLingerEndsWhenWorkersLeave(t *testing.T) {
+	desc := testDesc()
+	wantJS, wantCSV, wantMD := goldenBytes(t, desc, fakeMapper)
+	ck := filepath.Join(t.TempDir(), "coord.jsonl")
+	doneAt := make(chan time.Time, 1)
+	ctx := context.Background()
+	c, wait := startCoordinator(t, ctx, Config{
+		Desc: desc, ChunkSize: 3, Checkpoint: ck, Linger: 30 * time.Second,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EventDone {
+				doneAt <- time.Now()
+			}
+		},
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		w := testWorker(c.Addr())
+		w.Name = fmt.Sprintf("w%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("worker %s: %v", w.Name, err)
+			}
+		}()
+	}
+	rep, err := wait()
+	returned := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := returned.Sub(<-doneAt); d > time.Second {
+		t.Errorf("coordinator returned %v after the sweep completed, want under 1s", d)
+	}
+	wg.Wait()
+	assertIdentical(t, rep, wantJS, wantCSV, wantMD)
+
+	c2, wait2 := startCoordinator(t, ctx, Config{Desc: desc, Checkpoint: ck, Linger: 30 * time.Second})
+	if c2.Resumed() != c2.Runs() {
+		t.Fatalf("restart resumed %d of %d runs", c2.Resumed(), c2.Runs())
+	}
+	late := testWorker(c2.Addr())
+	late.Name = "late"
+	if err := late.Run(ctx); err != nil {
+		t.Fatalf("late worker: %v", err)
+	}
+	left := time.Now()
+	rep, err = wait2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(left); d > time.Second {
+		t.Errorf("restarted coordinator returned %v after its worker left, want under 1s", d)
+	}
+	assertIdentical(t, rep, wantJS, wantCSV, wantMD)
+}
+
 // TestCoordinatedRealSweepMatchesUnsharded drives the real mapping
 // stack (no injected RunFunc) through the full wire protocol on a
 // small spec.

@@ -58,15 +58,21 @@ type Config struct {
 	// sweep (successes served, failures retried — the resume
 	// semantics of experiment.Execute). Empty disables persistence.
 	Checkpoint string
-	// Linger is how long after completion the coordinator keeps
+	// Linger bounds how long after completion the coordinator keeps
 	// answering lease requests with "done" so connected workers exit
-	// cleanly (default 2s).
+	// cleanly (default 2s). Once a worker has connected, it stops
+	// lingerQuiet after the last worker session closes.
 	Linger time.Duration
 	// OnEvent, if non-nil, receives progress events. It is called
 	// synchronously from coordinator goroutines and must not call
 	// back into the Coordinator.
 	OnEvent func(Event)
 }
+
+// lingerQuiet is how long a completed coordinator keeps listening
+// after its last worker session closed, for a worker started with
+// the others that has not connected yet.
+const lingerQuiet = 250 * time.Millisecond
 
 func (cfg Config) normalized() Config {
 	if cfg.ChunkSize < 1 {
@@ -106,9 +112,13 @@ type Coordinator struct {
 	results map[int]*experiment.RunResult
 	done    int
 	conns   map[net.Conn]bool
+	joined  bool // a connection was ever accepted
 	failErr error
 	ckw     *experiment.CheckpointWriter
 
+	// idleCh receives a token whenever the last open connection
+	// closes, so the linger can end early.
+	idleCh    chan struct{}
 	doneCh    chan struct{}
 	abortCh   chan struct{}
 	onceDone  sync.Once
@@ -140,6 +150,7 @@ func New(cfg Config) (*Coordinator, error) {
 		fp:      fp,
 		results: make(map[int]*experiment.RunResult, len(runs)),
 		conns:   map[net.Conn]bool{},
+		idleCh:  make(chan struct{}, 1),
 		doneCh:  make(chan struct{}),
 		abortCh: make(chan struct{}),
 	}
@@ -211,13 +222,30 @@ func (c *Coordinator) Run(ctx context.Context) (*experiment.Report, error) {
 		c.mu.Unlock()
 	case <-c.doneCh:
 		c.event(Event{Kind: EventDone, Done: c.done, Total: len(c.runs)})
-		// Keep answering "done" briefly so workers between leases
-		// learn the sweep finished and exit cleanly instead of
-		// burning their reconnect budget on a vanished coordinator.
+		// Keep answering "done" while workers are still connected, so
+		// those between leases learn the sweep finished and exit
+		// cleanly instead of burning their reconnect budget on a
+		// vanished coordinator; Linger bounds the wait for a worker
+		// that never leaves, or for the first one to a sweep resumed
+		// complete.
 		t := time.NewTimer(c.cfg.Linger)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
+	linger:
+		for {
+			var quiet <-chan time.Time
+			if !c.workersPending() {
+				quiet = time.After(lingerQuiet)
+			}
+			select {
+			case <-c.idleCh:
+			case <-quiet:
+				if !c.workersPending() {
+					break linger
+				}
+			case <-t.C:
+				break linger
+			case <-ctx.Done():
+				break linger
+			}
 		}
 		t.Stop()
 	}
@@ -255,6 +283,7 @@ func (c *Coordinator) acceptLoop() {
 		}
 		c.mu.Lock()
 		c.conns[conn] = true
+		c.joined = true
 		c.mu.Unlock()
 		c.wg.Add(1)
 		go c.serve(conn)
@@ -343,6 +372,14 @@ func (c *Coordinator) serve(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// workersPending reports whether a worker session is open, or none ever
+// was.
+func (c *Coordinator) workersPending() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.conns) > 0 || !c.joined
 }
 
 func (c *Coordinator) doneCount() int {
@@ -461,6 +498,12 @@ func (c *Coordinator) completeLease(sess *session, id int64) {
 func (c *Coordinator) dropSession(conn net.Conn, sess *session, reason string) {
 	c.mu.Lock()
 	delete(c.conns, conn)
+	if len(c.conns) == 0 {
+		select {
+		case c.idleCh <- struct{}{}:
+		default:
+		}
+	}
 	returned, ids := c.table.releaseSession(sess)
 	done := c.done
 	c.mu.Unlock()

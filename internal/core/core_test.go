@@ -6,6 +6,8 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/fabric"
 	"repro/internal/gates"
+	"repro/internal/place"
+	"repro/internal/qidg"
 )
 
 func TestIdealLatencyFig3(t *testing.T) {
@@ -284,5 +286,49 @@ func TestMapperQSPRAllocBudget(t *testing.T) {
 	t.Logf("warm QSPR map allocates %.0f objects", avg)
 	if avg > budget {
 		t.Errorf("warm QSPR map allocates %.0f objects, budget %d", avg, budget)
+	}
+}
+
+// TestQSPRSearchWorkBudget gates the paper protocol's route-search
+// work the way TestMapperQSPRAllocBudget gates its allocations: heap
+// pops are as deterministic as allocations, so the gate needs no
+// timer. QSPR's MVFB search (m=25, seed 1) maps [[23,1,7]] on
+// quale45x85 over one caller-supplied route graph. It pops 1,427,997
+// heap entries and counts 3,670 sealed-destination floods in the ring
+// (2 fall back); with every flood on the heap it popped 3,063,802. The
+// gate fails if pops exceed the measured count by more than 10%, or if
+// no flood is counted in the ring.
+func TestQSPRSearchWorkBudget(t *testing.T) {
+	const pops = 1_427_997
+	bench, err := circuits.ByName("[[23,1,7]]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := qidg.Build(bench.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := Options{Heuristic: QSPR, Seeds: 25, Seed: 1}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := qsprConfig(fabric.Quale4585(), gates.Default())
+	cfg.RouteGraph = cfg.BuildRouteGraph()
+	sol, err := place.MVFB(g, cfg, place.MVFBOptions{
+		Seeds: opts.Seeds, Patience: opts.Patience, MaxRunsPerSeed: 50, Seed: opts.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Result.Latency != 2932 {
+		t.Fatalf("latency %v, want Table 2's pinned 2932µs", sol.Result.Latency)
+	}
+	w := cfg.RouteGraph.SearchWork()
+	t.Logf("search work %+v", w)
+	if w.HeapPops > pops+pops/10 {
+		t.Errorf("%d heap pops, budget %d (measured %d + 10%%)", w.HeapPops, pops+pops/10, pops)
+	}
+	if w.RingFloods == 0 {
+		t.Error("no sealed-destination flood was counted in the ring")
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestFindRouteZeroAllocSteadyState pins the tentpole guarantee: on a
-// warm graph FindRoute performs zero allocations, on both the
-// cache-hit path (idle graph, repeated pair) and the full-search path
-// (congested graph, cache bypassed).
+// warm graph FindRoute performs zero allocations, on the cache-hit
+// path (idle graph, repeated pair), the full-search path (congested
+// graph, cache bypassed) and the ring flood toward a sealed trap.
 func TestFindRouteZeroAllocSteadyState(t *testing.T) {
 	g := New(fabric.Quale4585(), gates.Default(), Options{TurnAware: true})
 	f := g.Fabric
@@ -43,7 +43,26 @@ func TestFindRouteZeroAllocSteadyState(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("congested FindRoute allocates %.1f objects/op, want 0", avg)
 	}
-	g.Release(g.JunctionGroupID(0))
+
+	// Saturate z's channel: every query toward z floods in the ring.
+	ch := g.ChannelGroupID(f.Traps[z].Channel)
+	for g.Groups[ch].Occupancy() < g.Groups[ch].Capacity {
+		g.Occupy(ch)
+	}
+	before := g.SearchWork().RingFloods
+	if _, ok := g.FindRoute(a, z); ok {
+		t.Fatal("route to a sealed trap")
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, ok := g.FindRoute(a, z); ok {
+			t.Fatal("route to a sealed trap")
+		}
+	}); avg != 0 {
+		t.Errorf("ring-flood FindRoute allocates %.1f objects/op, want 0", avg)
+	}
+	if n := g.SearchWork().RingFloods - before; n < 200 {
+		t.Errorf("%d of the sealed queries flooded in the ring, want all", n)
+	}
 }
 
 // TestCacheReplayMatchesFreshSearch is the white-box proof of the

@@ -596,6 +596,12 @@ func (g *Graph) OracleRoute(fromTrap, toTrap int) (Route, bool) {
 	if fromTrap == toTrap {
 		return Route{From: fromTrap, To: toTrap}, true
 	}
+	if g.edgeOther == nil { // a classic graph keeps far ends in its slots
+		g.edgeOther = make([]int32, len(g.slots))
+		for k := range g.slots {
+			g.edgeOther[k] = g.slots[k].other
+		}
+	}
 	var s altSearcher
 	s.init(len(g.Nodes))
 	src := int32(g.trapNode[fromTrap])

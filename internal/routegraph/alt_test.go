@@ -224,3 +224,20 @@ func TestALTSealedEndpointSkipsSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestOracleRouteOnClassicGraph: a graph below the ALT threshold keeps
+// its far ends only in the classic search's slot records, and the
+// oracle still answers on it, with the classic search's costs.
+func TestOracleRouteOnClassicGraph(t *testing.T) {
+	g := New(fabric.Quale4585(), gates.Default(), Options{TurnAware: true})
+	if g.ALTEnabled() {
+		t.Fatal("quale45x85 routes with ALT")
+	}
+	for _, p := range [][2]int{{0, 461}, {3, 207}, {101, 102}} {
+		r, ok := g.FindRoute(p[0], p[1])
+		oracle, oracleOK := g.OracleRoute(p[0], p[1])
+		if ok != oracleOK || r.Cost != oracle.Cost {
+			t.Errorf("%d->%d: classic cost %v (found %v), oracle %v (found %v)", p[0], p[1], r.Cost, ok, oracle.Cost, oracleOK)
+		}
+	}
+}

@@ -71,7 +71,7 @@ func (g *Graph) storeCacheEntry(key uint64, src, dst int32, found bool) {
 	s := g.srch
 	e := &routeEntry{found: found, numTies: s.numTies, src: src, dst: dst}
 	if found {
-		e.cost = s.dist[dst]
+		e.cost = s.nodes[dst].dist
 		e.writes = append([]viaWrite(nil), s.writes...)
 	}
 	g.putCacheEntry(key, e)
@@ -92,12 +92,12 @@ func (g *Graph) replayCacheEntry(e *routeEntry, fromTrap, toTrap int) (Route, bo
 	}
 	// Every node on the path got at least one write, so the replay
 	// leaves no stale predecessor for appendHops to read.
-	via := g.srch.via
+	nodes := g.srch.nodes
 	for _, w := range e.writes {
 		if w.tie >= 0 && draws[w.tie] != 0 {
 			continue // losing coin: this equal-cost write did not land
 		}
-		via[w.node] = w.edge
+		nodes[w.node].via = w.edge
 	}
 	g.hopsBuf = g.appendHops(e.src, e.dst, g.hopsBuf[:0])
 	return g.buildRoute(fromTrap, toTrap, e.cost), true

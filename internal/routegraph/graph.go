@@ -165,6 +165,8 @@ type Graph struct {
 	// CSR adjacency: the incident edges of node n are
 	// edgeList[edgeStart[n]:edgeStart[n+1]], and edgeOther holds the
 	// far endpoint of each slot so the hot loop never inspects Edge.
+	// A classic graph keeps the far ends in its slot records instead
+	// (edgeOther nil).
 	edgeStart []int32
 	edgeList  []int32
 	edgeOther []int32
@@ -174,13 +176,12 @@ type Graph struct {
 	// residual capacity, 0 once it is saturated (or defective).
 	mult []int32
 
-	// The classic search's per-slot arrays (nil on ALT graphs): the
-	// group and SelectBase of each CSR slot's edge, and the end of
-	// each node's junction-neighbour prefix (search.go).
-	slotGroup []int32
-	slotBase  []gates.Time
-	juncEnd   []int32
-	srch      *search
+	// The classic search's per-slot records (nil on ALT graphs): the
+	// far end, group and SelectBase of each CSR slot's edge, and the
+	// end of each node's junction-neighbour prefix (search.go).
+	slots   []slot
+	juncEnd []int32
+	srch    *search
 
 	// totalOcc gates the route cache: every totally idle state is
 	// weight-identical (Eq. 2 depends only on group occupancies), so
@@ -253,15 +254,16 @@ func New(f *fabric.Fabric, tech gates.Tech, opts Options) *Graph {
 			g.Groups[g.chanGroup[ch]].Capacity = 0
 		}
 	}
+	alt := altEnabled(opts.Landmarks, len(g.Nodes))
 	g.buildEdges()
-	g.buildCSR()
+	g.buildCSR(!alt)
 	g.isolateDefectiveJunctions(opts.DefectiveJunctions)
 	g.mult = make([]int32, len(g.Groups))
 	for id := range g.Groups {
 		g.setMult(id)
 	}
 	g.cache = make(map[uint64]*routeEntry)
-	if altEnabled(opts.Landmarks, len(g.Nodes)) {
+	if alt {
 		g.buildALT(opts.Landmarks)
 	} else {
 		g.buildSearch()
@@ -292,18 +294,17 @@ func (g *Graph) isolateDefectiveJunctions(ids []int) {
 	}
 }
 
-// buildSearch gives a graph that routes with the classic search its
-// per-slot weight arrays, junction-prefix bounds and search state.
+// buildSearch completes a classic graph's per-slot records with each
+// edge's group and SelectBase, and gives it junction-prefix bounds and
+// search state.
 func (g *Graph) buildSearch() {
-	g.juncEnd = junctionPrefixEnds(g.edgeStart, g.edgeOther, g.nodeKind)
-	g.slotGroup = make([]int32, len(g.edgeList))
-	g.slotBase = make([]gates.Time, len(g.edgeList))
+	g.juncEnd = junctionPrefixEnds(g.edgeStart, g.slots, g.nodeKind)
 	for k, eid := range g.edgeList {
 		e := &g.Edges[eid]
-		g.slotGroup[k] = int32(e.Group)
-		g.slotBase[k] = e.SelectBase
+		g.slots[k].group, g.slots[k].base = int32(e.Group), e.SelectBase
 	}
 	g.srch = newSearch(len(g.Nodes))
+	g.srch.ringLen = g.ringSize()
 }
 
 // junctionPrefixEnds returns, per node, the end of the CSR slots that
@@ -311,16 +312,16 @@ func (g *Graph) buildSearch() {
 // after that prefix by position, so it panics if any node lists a
 // junction neighbour after a trap neighbour: that would mean
 // buildEdges stopped adding junction edges before trap edges.
-func junctionPrefixEnds(start, other []int32, kinds []NodeKind) []int32 {
+func junctionPrefixEnds(start []int32, slots []slot, kinds []NodeKind) []int32 {
 	ends := make([]int32, len(start)-1)
 	for v := range ends {
 		end := start[v]
 		for k := start[v]; k < start[v+1]; k++ {
-			if kinds[other[k]] == TrapNode {
+			if kinds[slots[k].other] == TrapNode {
 				continue
 			}
 			if end != k {
-				panic(fmt.Sprintf("routegraph: node %d lists junction neighbour %d after a trap neighbour", v, other[k]))
+				panic(fmt.Sprintf("routegraph: node %d lists junction neighbour %d after a trap neighbour", v, slots[k].other))
 			}
 			end = k + 1
 		}
@@ -332,7 +333,9 @@ func junctionPrefixEnds(start, other []int32, kinds []NodeKind) []int32 {
 // buildCSR lays the edges out as CSR adjacency: a degree count sizes
 // each node's slots, then one pass over the edges in ID order fills
 // them, so every node lists its incident edges in increasing ID order.
-func (g *Graph) buildCSR() {
+// The far ends go to the slot records of a classic graph, else to
+// edgeOther.
+func (g *Graph) buildCSR(classic bool) {
 	n := len(g.Nodes)
 	g.edgeStart = make([]int32, n+1)
 	for i := range g.Edges {
@@ -345,17 +348,25 @@ func (g *Graph) buildCSR() {
 	}
 	total := g.edgeStart[n]
 	g.edgeList = make([]int32, total)
-	g.edgeOther = make([]int32, total)
+	if classic {
+		g.slots = make([]slot, total)
+	} else {
+		g.edgeOther = make([]int32, total)
+	}
 	next := make([]int32, n)
 	copy(next, g.edgeStart)
 	for i := range g.Edges {
 		e := &g.Edges[i]
-		k := next[e.A]
-		g.edgeList[k], g.edgeOther[k] = int32(i), int32(e.B)
+		ka := next[e.A]
 		next[e.A]++
-		k = next[e.B]
-		g.edgeList[k], g.edgeOther[k] = int32(i), int32(e.A)
+		kb := next[e.B]
 		next[e.B]++
+		g.edgeList[ka], g.edgeList[kb] = int32(i), int32(i)
+		if classic {
+			g.slots[ka].other, g.slots[kb].other = int32(e.B), int32(e.A)
+		} else {
+			g.edgeOther[ka], g.edgeOther[kb] = int32(e.B), int32(e.A)
+		}
 	}
 	g.nodeKind = make([]NodeKind, n)
 	for i := range g.Nodes {
@@ -674,7 +685,7 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 		}
 	}
 	src, dst := int32(g.trapNode[fromTrap]), int32(g.trapNode[toTrap])
-	found := g.runSearch(src, dst, uncongested)
+	found := g.route(src, dst, uncongested)
 	if uncongested {
 		g.storeCacheEntry(key, src, dst, found)
 	}
@@ -682,7 +693,7 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 		return Route{}, false
 	}
 	g.hopsBuf = g.appendHops(src, dst, g.hopsBuf[:0])
-	return g.buildRoute(fromTrap, toTrap, g.srch.dist[dst]), true
+	return g.buildRoute(fromTrap, toTrap, g.srch.nodes[dst].dist), true
 }
 
 // Commit charges every hop's group (call after accepting a route).

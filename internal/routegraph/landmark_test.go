@@ -242,7 +242,7 @@ func TestCSRListsIncidentEdgesInIDOrder(t *testing.T) {
 			}
 			for k := g.edgeStart[v]; k < g.edgeStart[v+1]; k++ {
 				e := g.Edges[g.edgeList[k]]
-				if far := int(g.edgeOther[k]); far != e.A+e.B-v {
+				if far := int(g.slots[k].other); far != e.A+e.B-v {
 					t.Fatalf("node %d slot %d: far end %d, edge %d joins %d and %d", v, k, far, e.ID, e.A, e.B)
 				}
 			}

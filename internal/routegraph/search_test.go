@@ -57,9 +57,10 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // refSearcher is the generic search loop the specialized one replaced,
-// kept verbatim at W = gates.Time as the reference for
+// kept at W = gates.Time as the reference for
 // TestSearchMatchesReference: weights and the tie coin come in through
-// closures, every trap slot is scanned, and the heap swaps.
+// closures, every trap slot is scanned, each slot's far end comes from
+// its Edge, and the heap swaps.
 type refSearcher struct {
 	g *Graph
 
@@ -149,7 +150,7 @@ func (s *refSearcher) run(src, dst int32, inf gates.Time, weight func(edge int32
 	dist, stamp, settled, via := s.dist, s.distStamp, s.settledStamp, s.via
 	gen := s.gen
 	kinds := g.nodeKind
-	start, list, other := g.edgeStart, g.edgeList, g.edgeOther
+	start, list := g.edgeStart, g.edgeList
 
 	dist[src] = 0
 	stamp[src] = gen
@@ -167,7 +168,8 @@ func (s *refSearcher) run(src, dst int32, inf gates.Time, weight func(edge int32
 		}
 		for k := start[cn]; k < start[cn+1]; k++ {
 			eid := list[k]
-			next := other[k]
+			e := &g.Edges[eid]
+			next := int32(e.A + e.B - int(cn))
 			if kinds[next] == TrapNode && next != dst && next != src {
 				continue
 			}
@@ -244,18 +246,20 @@ func refFindRoute(g *Graph, s *refSearcher, fromTrap, toTrap int) (Route, bool) 
 // checkSearchScript drives two identically built graphs through one
 // seeded script of queries, commits, releases and resets: ref answers
 // with the reference loop, got with FindRoute (route cache included).
-// It returns a diagnostic at the first query whose found flag, cost,
-// hops or coin count differ.
-func checkSearchScript(f *fabric.Fabric, tech gates.Tech, opts Options, seed int64, queries int) string {
+// A tail of queries/2 more queries then commits every route it can,
+// so channels saturate and many queries meet a sealed destination. It
+// returns a diagnostic at the first query whose found flag, cost, hops
+// or coin count differ, and got's search counters.
+func checkSearchScript(f *fabric.Fabric, tech gates.Tech, opts Options, seed int64, queries int) (string, SearchWork) {
 	ref, got := New(f, tech, opts), New(f, tech, opts)
 	if ref.ALTEnabled() {
-		return "graph routes with ALT; the script needs the classic search"
+		return "graph routes with ALT; the script needs the classic search", SearchWork{}
 	}
 	rs := newRefSearcher(ref)
 	rng := rand.New(rand.NewSource(seed))
 	n := len(f.Traps)
 	var held []Route
-	for q := 0; q < queries; q++ {
+	for q := 0; q < queries+queries/2; q++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a == b {
 			continue
@@ -263,12 +267,16 @@ func checkSearchScript(f *fabric.Fabric, tech gates.Tech, opts Options, seed int
 		want, wantOK := refFindRoute(ref, rs, a, b)
 		r, ok := got.FindRoute(a, b)
 		if d := routesDiffer(r, ok, want, wantOK); d != "" {
-			return fmt.Sprintf("query %d (%d->%d): %s", q, a, b, d)
+			return fmt.Sprintf("query %d (%d->%d): %s", q, a, b, d), got.SearchWork()
 		}
 		if got.coins != ref.coins {
-			return fmt.Sprintf("query %d (%d->%d): %d coins drawn, reference drew %d", q, a, b, got.coins, ref.coins)
+			return fmt.Sprintf("query %d (%d->%d): %d coins drawn, reference drew %d", q, a, b, got.coins, ref.coins), got.SearchWork()
 		}
-		switch op := rng.Intn(10); {
+		op := rng.Intn(10)
+		if q >= queries {
+			op = 0 // the tail commits
+		}
+		switch {
 		case op < 4 && ok && commitable(got, r):
 			r = r.Clone()
 			got.Commit(r)
@@ -292,7 +300,7 @@ func checkSearchScript(f *fabric.Fabric, tech gates.Tech, opts Options, seed int
 			held = held[:0]
 		}
 	}
-	return ""
+	return "", got.SearchWork()
 }
 
 // randomDefects picks each of n IDs with probability p.
@@ -311,7 +319,9 @@ func randomDefects(rng *rand.Rand, n int, p float64) []int {
 // the same number of tie coins, query by query, on the paper fabrics
 // and on seeded generated fabrics, under both metrics, default and
 // capacity-1 technology, with and without defective channels and
-// junctions, idle and congested.
+// junctions, idle and congested. The turn-aware scripts count coins in
+// the ring and fall back from it at least once each, so both paths are
+// compared with the reference; the turn-blind ones never use the ring.
 func TestSearchMatchesReference(t *testing.T) {
 	cap1 := gates.Default()
 	cap1.ChannelCapacity = 1
@@ -334,6 +344,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			}{spec, f})
 		}
 	}
+	var awareWork, blindWork SearchWork
 	for _, fc := range fabrics {
 		for _, aware := range []bool{true, false} {
 			for ti, tech := range []gates.Tech{gates.Default(), cap1} {
@@ -346,12 +357,27 @@ func TestSearchMatchesReference(t *testing.T) {
 						opts.DefectiveChannels = randomDefects(drng, len(fc.f.Channels), 0.05)
 						opts.DefectiveJunctions = randomDefects(drng, len(fc.f.Junctions), 0.05)
 					}
-					if d := checkSearchScript(fc.f, tech, opts, seed, queries); d != "" {
+					d, w := checkSearchScript(fc.f, tech, opts, seed, queries)
+					if d != "" {
 						t.Errorf("%s: %s", name, d)
 					}
+					sum := &blindWork
+					if aware {
+						sum = &awareWork
+					}
+					sum.HeapPops += w.HeapPops
+					sum.RingFloods += w.RingFloods
+					sum.RingFallbacks += w.RingFallbacks
 				}
 			}
 		}
+	}
+	t.Logf("turn-aware %+v, turn-blind %+v", awareWork, blindWork)
+	if awareWork.RingFloods == 0 || awareWork.RingFallbacks == 0 {
+		t.Errorf("turn-aware scripts: %+v, want ring floods and at least one fallback", awareWork)
+	}
+	if blindWork.RingFloods+blindWork.RingFallbacks != 0 {
+		t.Errorf("turn-blind scripts used the ring: %+v", blindWork)
 	}
 }
 
@@ -361,8 +387,14 @@ func TestSearchMatchesReference(t *testing.T) {
 func TestJunctionPrefixOrderChecked(t *testing.T) {
 	kinds := []NodeKind{JuncH, JuncV, TrapNode, TrapNode}
 	start := []int32{0, 3, 5, 6, 7}
-	other := []int32{1, 2, 3, 0, 2, 0, 1}
-	ends := junctionPrefixEnds(start, other, kinds)
+	slots := func(other ...int32) []slot {
+		s := make([]slot, len(other))
+		for k, o := range other {
+			s[k].other = o
+		}
+		return s
+	}
+	ends := junctionPrefixEnds(start, slots(1, 2, 3, 0, 2, 0, 1), kinds)
 	if want := []int32{1, 4, 6, 7}; fmt.Sprint(ends) != fmt.Sprint(want) {
 		t.Fatalf("prefix ends %v, want %v", ends, want)
 	}
@@ -371,5 +403,129 @@ func TestJunctionPrefixOrderChecked(t *testing.T) {
 			t.Error("junction neighbour after a trap neighbour did not panic")
 		}
 	}()
-	junctionPrefixEnds(start, []int32{2, 1, 3, 0, 2, 0, 1}, kinds)
+	junctionPrefixEnds(start, slots(2, 1, 3, 0, 2, 0, 1), kinds)
+}
+
+// TestRingFallbackMatchesReference forces ambiguous floods by a
+// bounded seeded search: it congests quale45x85 one committed route at
+// a time, and in each state with a sealed trap it routes to that trap
+// from every source. Each source whose ring count depends on the
+// heap's order among equal keys (ringFlood says so without drawing a
+// coin) must be left to the exact search and counted as a fallback;
+// every other must be counted in the ring. Either way FindRoute must
+// draw exactly the reference loop's coins.
+func TestRingFallbackMatchesReference(t *testing.T) {
+	f := fabric.Quale4585()
+	opts := Options{TurnAware: true, TieSeed: 4}
+	got, ref := New(f, gates.Default(), opts), New(f, gates.Default(), opts)
+	rs := newRefSearcher(ref)
+	rng := rand.New(rand.NewSource(4))
+	n := len(f.Traps)
+	ambiguous := 0
+	for round := 0; round < 200 && ambiguous == 0; round++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		want, wantOK := refFindRoute(ref, rs, a, b)
+		r, ok := got.FindRoute(a, b)
+		if d := routesDiffer(r, ok, want, wantOK); d != "" || got.coins != ref.coins {
+			t.Fatalf("round %d (%d->%d): %s, %d coins vs the reference's %d", round, a, b, d, got.coins, ref.coins)
+		}
+		if ok && commitable(got, r) {
+			r = r.Clone()
+			got.Commit(r)
+			ref.Commit(r)
+		}
+		dst := -1
+		for tr := 0; tr < n && dst < 0; tr++ {
+			if got.sealed(int32(got.trapNode[tr])) {
+				dst = tr
+			}
+		}
+		if dst < 0 {
+			continue
+		}
+		for src := 0; src < n; src++ {
+			if src == dst {
+				continue
+			}
+			_, exact := got.ringFlood(int32(got.trapNode[src]))
+			before := got.SearchWork()
+			if _, ok := got.FindRoute(src, dst); ok {
+				t.Fatalf("round %d: route to sealed trap %d found", round, dst)
+			}
+			refFindRoute(ref, rs, src, dst)
+			if got.coins != ref.coins {
+				t.Fatalf("round %d (%d->%d, exact count %v): %d coins drawn, reference drew %d", round, src, dst, exact, got.coins, ref.coins)
+			}
+			w := got.SearchWork()
+			if exact {
+				if w.RingFloods != before.RingFloods+1 || w.RingFallbacks != before.RingFallbacks {
+					t.Fatalf("round %d (%d->%d): counters %+v -> %+v, want one ring flood", round, src, dst, before, w)
+				}
+				continue
+			}
+			ambiguous++
+			if w.RingFallbacks != before.RingFallbacks+1 || w.RingFloods != before.RingFloods {
+				t.Fatalf("round %d (%d->%d): counters %+v -> %+v, want one fallback", round, src, dst, before, w)
+			}
+		}
+	}
+	if ambiguous == 0 {
+		t.Fatal("the bounded search found no ambiguous flood")
+	}
+	t.Logf("%d ambiguous floods fell back; %+v", ambiguous, got.SearchWork())
+}
+
+// TestGroupTiesMatchesEveryOrder checks the ring's per-node count
+// against the exact search's relaxations in every order they can come
+// in: offers settle in distance order, in any order among equal
+// distances. On random offer sets over few values, so most of them
+// hold equal keys, groupTies must give the count every such order
+// gives, and report ambiguity exactly when two orders disagree.
+func TestGroupTiesMatchesEveryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 4000; trial++ {
+		offers := make([]offer, rng.Intn(7))
+		for i := range offers {
+			from := gates.Time(rng.Intn(3))
+			offers[i] = offer{from: from, c: from + gates.Time(1+rng.Intn(3))}
+		}
+		lo, hi := orderTies(offers)
+		ties, exact := groupTies(slices.Clone(offers))
+		if exact != (lo == hi) || exact && int(ties) != lo {
+			t.Fatalf("offers %v: groupTies = %d, exact %v; settle orders draw %d to %d coins", offers, ties, exact, lo, hi)
+		}
+	}
+}
+
+// orderTies returns the fewest and the most coins the exact search
+// draws from offers over every order that keeps them in distance
+// order: each offer below the running minimum writes, each equal to
+// it ties.
+func orderTies(offers []offer) (lo, hi int) {
+	lo, hi = math.MaxInt, -1
+	var perm func(k int)
+	perm = func(k int) {
+		if k == len(offers) {
+			best, ties := timeInf, 0
+			for i, o := range offers {
+				if i > 0 && o.from < offers[i-1].from {
+					return
+				}
+				if o.c < best {
+					best = o.c
+				} else if o.c == best {
+					ties++
+				}
+			}
+			lo, hi = min(lo, ties), max(hi, ties)
+			return
+		}
+		for i := k; i < len(offers); i++ {
+			offers[k], offers[i] = offers[i], offers[k]
+			perm(k + 1)
+			offers[k], offers[i] = offers[i], offers[k]
+		}
+	}
+	perm(0)
+	return lo, hi
 }

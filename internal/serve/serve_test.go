@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,10 +228,12 @@ func TestFileBackedSpecRefused(t *testing.T) {
 // ~30 MB that building a 100,000-gate circuit takes.
 func TestOversizedSpecRefused(t *testing.T) {
 	h := testServer().Handler()
+	// A grid side whose square overflows int, whatever its width.
+	side := strconv.Itoa(int(math.Sqrt(float64(math.MaxInt))) + 1)
 	cases := []struct{ spec, want string }{
 		{"rand(q=2,g=100000)", "over the service cap of 65536"},
 		{"ghz(q=5000)", "over the service cap of 4096"},
-		{"grid(rows=3037000500,cols=3037000500,layers=9)", "over the service cap of 4096"},
+		{"grid(rows=" + side + ",cols=" + side + ",layers=9)", "over the service cap of 4096"},
 	}
 	for _, tc := range cases {
 		body := fmt.Sprintf(`{"circuit":%q,"fabric":"small","heuristic":"qspr-center"}`, tc.spec)
